@@ -29,13 +29,15 @@ check-bench:
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_fresh.json
 
 # Region-JIT lane: the jit on/off differential suites (machine-level
-# state identity plus the end-to-end instrumented/profiled lane), then
+# state identity plus the end-to-end instrumented/profiled lane, and
+# lazy load against an eagerly built machine), then
 # the bench regression gate so a JIT throughput regression fails CI
 # (interpreter insts/sec gates only on same-host comparisons; the
 # deterministic cycle legs gate everywhere).
 check-jit:
 	$(PYTHON) -m pytest -q tests/machine/test_jit.py \
-	    tests/eval/test_jit_differential.py tests/machine/test_superblocks.py
+	    tests/eval/test_jit_differential.py tests/machine/test_superblocks.py \
+	    tests/machine/test_lazy_load.py
 	$(PYTHON) -m repro.perf.bench --out /tmp/bench_jit.json
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_jit.json
 

@@ -1,9 +1,15 @@
 """The WRL-64 interpreter core.
 
-The text segment is pre-decoded once into per-instruction closures (the
-machine never self-modifies code), so the dispatch loop is a tight
-``i = code[i]()``.  Each closure charges its cycle cost, updates registers
-or memory, and returns the index of the next instruction.
+The text segment is decoded once at load and dispatched through a table
+of per-instruction closures (the machine never self-modifies code), so
+the dispatch loop is a tight ``i = code[i]()``.  Each closure charges its
+cycle cost, updates registers or memory, and returns the index of the
+next instruction.  Closures are built on first execution, not at load:
+every slot starts as a stub that compiles its instruction's closure,
+patches it over itself and runs it.  Load therefore costs one decode
+(one :class:`Instruction` per distinct word) and one stub per
+instruction, and only code that runs pays for a closure; a short run
+executes well under half of its text.
 
 On top of the per-instruction closures the decoder builds *superblocks*:
 maximal straight-line runs of non-control-transfer instructions (loads,
@@ -23,14 +29,20 @@ The fused executor is *compiled*: the run's semantics are emitted as
 Python source and ``compile()``d into one code object, so straight-line
 code pays no per-instruction dispatch, closure call, or stats update at
 all — the classic threaded-code-to-template-JIT step.  Compilation is
-lazy (a counting trampoline compiles a superblock on its second entry),
-so cold startup code never pays the compile cost.
+lazy twice over.  One scan at load (:meth:`Cpu.superblock_runs`) finds
+the runs and records them in one ``start -> (end, term)`` table; a head's
+dispatch slot holds a stub until the head is first dispatched, which
+installs the head's handler — a counting trampoline that compiles the
+superblock on its second entry, or the region JIT's hotness counter —
+so cold startup code never pays the compile cost and code that never
+runs pays nothing at all.
 
 Above fusion sits the region JIT (:mod:`repro.machine.jit`, ``jit=``):
 superblock heads that stay hot past a threshold are recompiled together
 with their successor blocks into one multi-block Python function that
 keeps register state in locals and loops entirely inside compiled code,
-side-exiting back to this dispatch loop at region boundaries.  The JIT
+side-exiting back to this dispatch loop at region boundaries.  It finds
+its blocks on the same scan's leader table.  The JIT
 honours ``_jit_limit`` (a one-element fuel list set by :meth:`run` and
 :meth:`_run_sampled`): a region never pushes ``stats[1]`` past the
 current limit, which is how both the instruction budget and the
@@ -42,6 +54,9 @@ machine code that runs here natively, analysis routines and all.
 """
 
 from __future__ import annotations
+
+import struct
+from types import MethodType
 
 from ..isa import encoding, opcodes, registers
 from ..isa.instruction import Instruction
@@ -118,15 +133,30 @@ class Cpu:
         self.sb_runs = 0
         self.sb_compiled = 0
         self.sb_cache_hits = 0
-        self._insts = encoding.decode_stream(text)
+        #: Per-instruction closures built so far: one per instruction
+        #: that has executed outside fused and JIT-compiled code.
+        self.closures_built = 0
+        self._insts = _decode_text(text)
         #: Lazy call/return classification table for shadow-stack sampling.
         self._ctl: bytearray | None = None
         self._costs = cost_model.sequence_costs(self._insts,
                                                 cost_streams)
-        self._code = [self._compile(inst, i, self._costs[i])
-                      for i, inst in enumerate(self._insts)]
+        # Every slot starts as a stub bound to its index; the first call
+        # compiles the closure and patches it in (see _materialize).
+        materialize = self._materialize
+        self._code = [MethodType(materialize, i)
+                      for i in range(len(self._insts))]
         if fuse:
-            self._dispatch, self._max_fused = self._build_superblocks()
+            runs = self.superblock_runs()
+            self.sb_runs = len(runs)
+            #: The one superblock table: head index -> (end, term).
+            self._runs = {start: (end, term) for start, end, term in runs}
+            self._max_fused = max([(end - start) + (term is not None)
+                                   for start, end, term in runs], default=1)
+            self._dispatch = list(self._code)
+            install = self._install_head
+            for start in self._runs:
+                self._dispatch[start] = MethodType(install, start)
             if jit:
                 from .jit import JitManager
                 self.jit = JitManager(self)
@@ -309,6 +339,10 @@ class Cpu:
         *terminator* (``term == end``); syscalls and halts stay on their
         per-instruction closures (``term is None``).  Runs longer than
         :data:`FUSE_CAP` are chained as consecutive superblocks.
+
+        The scan's leader table is kept as ``_leader``: the region JIT
+        discovers its blocks on the same table, so one scan at load
+        serves both tiers.
         """
         insts = self._insts
         n = len(insts)
@@ -342,17 +376,32 @@ class Cpu:
             if (j - i) + (term is not None) >= FUSE_MIN:
                 runs.append((i, j, term))
             i = j if term is None else j + 1
+        self._leader = leader
         return runs
 
-    def _build_superblocks(self):
-        dispatch = list(self._code)
-        max_len = 1
-        runs = self.superblock_runs()
-        self.sb_runs = len(runs)
-        for start, end, term in runs:
-            dispatch[start] = self._trampoline(start, end, term)
-            max_len = max(max_len, (end - start) + (term is not None))
-        return dispatch, max_len
+    def _materialize(self, index: int) -> int:
+        """A stub's body: compile instruction ``index``'s closure, patch
+        it over the stub in ``_code`` (and in ``_dispatch`` when the same
+        stub sits there), then execute it."""
+        code = self._code
+        fn = self._compile(self._insts[index], index, self._costs[index])
+        if self._dispatch[index] is code[index]:
+            self._dispatch[index] = fn
+        code[index] = fn
+        self.closures_built += 1
+        return fn()
+
+    def _install_head(self, start: int) -> int:
+        """A superblock head's first dispatch: install the head's handler
+        (the region JIT's hotness counter, else the fusion trampoline)
+        and enter it, so this dispatch is the handler's first entry."""
+        end, term = self._runs[start]
+        if self.jit is not None:
+            handler = self.jit._counter(start, end, term)
+        else:
+            handler = self._trampoline(start, end, term)
+        self._dispatch[start] = handler
+        return handler()
 
     def _trampoline(self, start: int, end: int, term: int | None):
         """Lazy superblock installer.
@@ -634,6 +683,32 @@ class Cpu:
                 regs[rc] = fn(regs[ra], regs[rb], regs[rc])
             return nxt
         return do_op_reg
+
+
+def _decode_text(text: bytes) -> list[Instruction]:
+    """Decode a text segment, sharing one :class:`Instruction` between
+    all indices that hold the same word.
+
+    Only a small share of a text's words are distinct (the same spill,
+    call and address-arithmetic shapes recur throughout), so the memo
+    saves most of decode's allocations.  It is private to one load and
+    bounded by that text's distinct words: OM and ATOM rewrite decoded
+    instructions in place, so :func:`encoding.decode` itself must keep
+    returning a fresh object per call.  The machine only reads its
+    instructions.  An illegal opcode anywhere in the text still fails
+    the load.
+    """
+    if len(text) % encoding.INST_SIZE:
+        raise encoding.EncodingError(
+            "text length is not a multiple of 4 bytes")
+    memo: dict[int, Instruction] = {}
+    insts: list[Instruction] = []
+    for word in struct.unpack(f"<{len(text) // 4}I", text):
+        inst = memo.get(word)
+        if inst is None:
+            inst = memo[word] = encoding.decode(word)
+        insts.append(inst)
+    return insts
 
 
 # ---- superblock source generation ------------------------------------------

@@ -8,7 +8,8 @@ access goes through the shared ``regs`` list.
 
 This module promotes *hot* superblock heads one level further, the way
 Pin/DynamoRIO-style binary translators grow traces out of basic blocks.
-A counting closure sits on each superblock head; once its entry count
+A superblock head's first dispatch installs a counting closure on it
+(heads that never run never get one); once its entry count
 passes :data:`JIT_THRESHOLD` the surrounding control-flow region (up to
 :data:`MAX_BLOCKS` blocks reachable from the head) is compiled into a
 single Python function in which
@@ -314,23 +315,6 @@ def _branch_test(mnemonic: str, a: str) -> str:
     }[mnemonic]
 
 
-def _leader_table(insts) -> bytearray:
-    """``leader[i]`` — control may enter at ``i`` from somewhere other
-    than ``i - 1`` (the same table superblock fusion splits runs on)."""
-    n = len(insts)
-    leader = bytearray(n + 1)
-    for i, inst in enumerate(insts):
-        fmt = inst.op.format
-        if fmt is Format.MEMORY or fmt is Format.OPERATE:
-            continue
-        leader[i + 1] = 1
-        if fmt is Format.BRANCH:
-            target = i + 1 + inst.disp
-            if 0 <= target <= n:
-                leader[target] = 1
-    return leader
-
-
 def _scan_block(insts, i: int, starts, leader) -> tuple[int, str]:
     """Extent and terminator kind of the block at index ``i``.
 
@@ -424,7 +408,7 @@ class Region:
         self.hi = hi
 
 
-def _region_source(cpu, head: int, leader) -> tuple[str, int, int, int]:
+def _region_source(cpu, head: int) -> tuple[str, int, int, int]:
     """Generate a region's Python source rooted at superblock ``head``.
 
     Returns ``(source, min_fuel, lo, hi)``.  Raises :class:`AssertionError`
@@ -433,6 +417,7 @@ def _region_source(cpu, head: int, leader) -> tuple[str, int, int, int]:
     """
     insts = cpu._insts
     costs = cpu._costs
+    leader = cpu._leader
     base = cpu.text_base
     n = len(insts)
 
@@ -757,11 +742,6 @@ class JitManager:
         #: Memoized fused executors (the counter warm path and the
         #: region entry's low-fuel fallback).
         self._fused: dict[int, object] = {}
-        self._runs: dict[int, tuple[int, int | None]] = {}
-        self._leader = _leader_table(cpu._insts)
-        for start, end, term in cpu.superblock_runs():
-            self._runs[start] = (end, term)
-            cpu._dispatch[start] = self._counter(start, end, term)
 
     # ---- hotness ---------------------------------------------------------
 
@@ -816,7 +796,7 @@ class JitManager:
 
     def _build(self, head: int) -> Region:
         cpu = self.cpu
-        source, min_fuel, lo, hi = _region_source(cpu, head, self._leader)
+        source, min_fuel, lo, hi = _region_source(cpu, head)
         code = _JIT_CACHE.get(source)
         if code is None:
             if len(_JIT_CACHE) >= _JIT_CACHE_CAP:
@@ -867,7 +847,7 @@ class JitManager:
 
     def _evict(self, head: int) -> None:
         del self._installed[head]
-        end, term = self._runs[head]
+        end, term = self.cpu._runs[head]
         self.cpu._dispatch[head] = self._counter(head, end, term)
 
     def invalidate(self, lo: int = 0, hi: int | None = None) -> int:

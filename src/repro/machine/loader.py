@@ -199,11 +199,13 @@ def _note_run(cpu: Cpu, status: int, wall_ns: int, sp) -> None:
     """Fold one run's interpreter stats into the ambient trace."""
     insts, cycles = cpu.stats[1], cpu.stats[0]
     sp.add(status=status, insts=insts, cycles=cycles,
+           closures_built=cpu.closures_built,
            sb_runs=cpu.sb_runs, sb_compiled=cpu.sb_compiled,
            sb_cache_hits=cpu.sb_cache_hits)
     TRACE.count("machine.runs")
     TRACE.count("machine.insts", insts)
     TRACE.count("machine.cycles", cycles)
+    TRACE.count("cpu.closures_built", cpu.closures_built)
     TRACE.count("cpu.superblocks", cpu.sb_runs)
     TRACE.count("cpu.superblocks_compiled", cpu.sb_compiled)
     TRACE.count("cpu.sb_cache_hits", cpu.sb_cache_hits)
@@ -224,9 +226,20 @@ def run_module(module: Module, *, stdin: bytes = b"",
                max_insts: int = 2_000_000_000,
                fuse: bool = True, jit: bool = True,
                sampler=None) -> RunResult:
-    """Convenience: load and run an executable module in one call."""
-    machine = Machine(module, stdin=stdin, args=args,
-                      cost_model=cost_model or DEFAULT,
-                      preload_files=preload_files or {},
-                      fuse=fuse, jit=jit)
+    """Convenience: load and run an executable module in one call.
+
+    With tracing on, the load is a ``machine.load`` span beside the run's
+    ``machine.run``, so a trace splits load from execution.
+    """
+    def load() -> Machine:
+        return Machine(module, stdin=stdin, args=args,
+                       cost_model=cost_model or DEFAULT,
+                       preload_files=preload_files or {},
+                       fuse=fuse, jit=jit)
+    if not TRACE.enabled:
+        machine = load()
+    else:
+        with TRACE.span("machine.load", "interpret") as sp:
+            machine = load()
+            sp.add(text_insts=len(machine.cpu._insts))
     return machine.run(max_insts=max_insts, sampler=sampler)

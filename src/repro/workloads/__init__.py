@@ -42,27 +42,32 @@ def build_workload(name: str) -> Module:
     parallel eval workers) skip recompilation too.
     """
     blob = _exe_cache.get(name)
-    if blob is None:
-        # Imported lazily: repro.eval pulls this module in at package
-        # import time, so a top-level import would be circular.
-        from ..eval.cache import executable_key, get_default_cache
-        source = load_source(name)
-        disk = get_default_cache()
-        key = executable_key((source,), name)
+    if blob is not None:
+        return Module.from_bytes(blob)
+    # Imported lazily: repro.eval pulls this module in at package
+    # import time, so a top-level import would be circular.
+    from ..eval.cache import executable_key, get_default_cache
+    from ..eval.runner import _DECODE_ERRORS
+    source = load_source(name)
+    disk = get_default_cache()
+    key = executable_key((source,), name)
+    module = None
+    if disk is not None:
+        blob = disk.get(key)
+        if blob is not None:
+            try:
+                module = Module.from_bytes(blob)
+            except _DECODE_ERRORS:
+                # Unreadable blob: a counted miss, recompiled below.
+                # Decoder bugs (TypeError & co.) propagate.
+                disk.note_corrupt()
+    if module is None:
+        blob = build_executable([source], name=name).to_bytes()
         if disk is not None:
-            blob = disk.get(key)
-            if blob is not None:
-                try:
-                    Module.from_bytes(blob)
-                except Exception:
-                    blob = None           # unreadable blob: recompile
-        if blob is None:
-            exe = build_executable([source], name=name)
-            blob = exe.to_bytes()
-            if disk is not None:
-                disk.put(key, blob)
-        _exe_cache[name] = blob
-    return Module.from_bytes(blob)
+            disk.put(key, blob)
+        module = Module.from_bytes(blob)
+    _exe_cache[name] = blob
+    return module
 
 
 def run_workload(name: str, *, args=(), **kw) -> RunResult:

@@ -98,3 +98,28 @@ def test_untraced_run_leaves_no_events(tmp_path):
     assert rec.status == "ok"
     assert rec.trace is None
     assert TRACE.events == []
+
+
+def test_load_and_run_spans_split_interpretation(traced):
+    """``run_module`` records the load as its own ``machine.load`` span
+    (with the text's instruction count) beside ``machine.run`` (with the
+    number of closures the run built), so a summary splits load from
+    execution; the run builds closures only for code that executed."""
+    from repro.machine import run_module
+    from repro.obs.cli import span_rows
+    from repro.workloads import build_workload
+    module = build_workload("fib")
+    result = run_module(module)
+    events = {e["name"]: e for e in traced.events}
+    load, run = events["machine.load"], events["machine.run"]
+    text_insts = len(module.section(".text").data) // 4
+    assert load["cat"] == run["cat"] == "interpret"
+    assert load["args"]["text_insts"] == text_insts
+    assert load["ts_ns"] + load["dur_ns"] <= run["ts_ns"]
+    built = run["args"]["closures_built"]
+    assert 0 < built < text_insts
+    assert built <= result.inst_count
+    assert traced.counters["cpu.closures_built"] == built
+    labels = [label for label, _ in span_rows(traced.snapshot())]
+    assert "interpret/machine.load" in labels
+    assert "interpret/machine.run" in labels
