@@ -29,15 +29,15 @@ check-bench:
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_fresh.json
 
 # Region-JIT lane: the jit on/off differential suites (machine-level
-# state identity plus the end-to-end instrumented/profiled lane, and
-# lazy load against an eagerly built machine), then
+# state identity plus the end-to-end instrumented/profiled lane, lazy
+# load against an eagerly built machine, and the tier-up policy), then
 # the bench regression gate so a JIT throughput regression fails CI
 # (interpreter insts/sec gates only on same-host comparisons; the
 # deterministic cycle legs gate everywhere).
 check-jit:
 	$(PYTHON) -m pytest -q tests/machine/test_jit.py \
 	    tests/eval/test_jit_differential.py tests/machine/test_superblocks.py \
-	    tests/machine/test_lazy_load.py
+	    tests/machine/test_lazy_load.py tests/machine/test_tier_policy.py
 	$(PYTHON) -m repro.perf.bench --out /tmp/bench_jit.json
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_jit.json
 
@@ -80,7 +80,9 @@ check-profile:
 # Fuzz lane: the deep pytest suite (generator/reducer/matrix/corpus,
 # `-m fuzz`), then a fixed-seed wrl-fuzz smoke over fresh programs under
 # a hard time budget.  A divergence writes a reduced repro program to
-# FUZZ_DIR (uploaded as a CI artifact) and fails the lane.  The deep
+# FUZZ_DIR (uploaded as a CI artifact) and fails the lane, and so does a
+# report whose jit column compiled no region (the jit-vs-fused check
+# would then compare fused code with itself).  The deep
 # lane is tunable without code changes: make check-fuzz FUZZ_SEED=100
 # FUZZ_COUNT=50 FUZZ_BUDGET=600.
 FUZZ_DIR ?= /tmp/wrl-fuzz
@@ -92,6 +94,10 @@ check-fuzz:
 	$(PYTHON) -m repro.eval.fuzz_matrix --seed $(FUZZ_SEED) \
 	    --count $(FUZZ_COUNT) --time-budget $(FUZZ_BUDGET) \
 	    --jobs 2 --out $(FUZZ_DIR)
+	$(PYTHON) -c "import json, sys; \
+	jit = json.load(open('$(FUZZ_DIR)/fuzz_report.json'))['tiers']['jit']; \
+	sys.exit(0 if jit['regions'] else \
+	         'check-fuzz: the jit column compiled no region')"
 
 # Taint lane: shadow-semantics property tests and the end-to-end taint
 # tool tests, pristine attribution under the densest instrumentation

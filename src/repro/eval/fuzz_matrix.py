@@ -25,6 +25,12 @@ is fingerprinted and the fingerprints are compared **byte-for-byte**
   a fresh worker process and must reproduce the serial fingerprints and
   ``InstrumentStats`` byte-identically — cross-process determinism.
 
+The fused and jit cells run with the tier-up budgets lowered to
+:data:`DIFF_FUSE_WORK` and :data:`DIFF_JIT_WORK`, so the short programs
+the fuzzer generates execute compiled superblocks and regions rather
+than only the per-instruction walk; the superblocks and regions each
+dispatch column compiled go into the run's ``fuzz_report.json``.
+
 Any divergence is shrunk by :mod:`repro.mlc.reduce` under a *narrow*
 predicate that replays only the two cells that disagreed, and the
 reduced program plus a JSON description are written out as a repro
@@ -41,8 +47,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ..atom import OptLevel
-from ..machine import run_module
 from ..machine.cpu import MachineError
+from ..machine.loader import Machine
 from ..mlc import build_executable
 from ..mlc.fuzz import PROFILES, generate_program, profile_for
 from ..mlc.reduce import checked_predicate, reduce_source
@@ -64,6 +70,12 @@ DISPATCH: dict[str, tuple[bool, bool]] = {
 #: most aggressively rewritten instrumented modules bracket it.
 SAMPLED_OPTS = ("O0", "O4")
 
+#: Tier-up budgets of the fused and jit cells: a superblock head fuses
+#: on its second entry and promotes by its 17th.  The same budgets drive
+#: the tier differential tests.
+DIFF_FUSE_WORK = 1
+DIFF_JIT_WORK = 32
+
 DEFAULT_INTERVAL = 509          # prime, so samples drift across loops
 DEFAULT_MAX_INSTS = 80_000_000
 DEFAULT_TOOLS = ("prof", "dyninst", "taint")
@@ -71,10 +83,11 @@ DEFAULT_TOOLS = ("prof", "dyninst", "taint")
 
 # ---------------------------------------------------------------- cells
 
-def _fingerprint(module, *, fuse: bool, jit: bool, max_insts: int,
-                 sample_interval: int | None,
-                 profile_module=None) -> dict:
-    """One cell's observables as a canonical-JSON-able dict.
+def _run_cell(module, *, fuse: bool, jit: bool, max_insts: int,
+              sample_interval: int | None,
+              profile_module=None) -> tuple[dict, dict]:
+    """One cell's observables as a canonical-JSON-able dict, and the
+    superblocks and regions its run compiled.
 
     Machine faults are *part of the fingerprint*: a program that
     divides by zero must fault identically in every cell, so errors are
@@ -83,9 +96,14 @@ def _fingerprint(module, *, fuse: bool, jit: bool, max_insts: int,
     sampler = None
     if sample_interval is not None:
         sampler = PcSampler(interval=sample_interval)
+    cpu = None
     try:
-        r = run_module(module, max_insts=max_insts, fuse=fuse, jit=jit,
-                       sampler=sampler)
+        machine = Machine(module, fuse=fuse, jit=jit)
+        cpu = machine.cpu
+        cpu.fuse_work = DIFF_FUSE_WORK
+        if cpu.jit is not None:
+            cpu.jit.work = DIFF_JIT_WORK
+        r = machine.run(max_insts=max_insts, sampler=sampler)
         fp = {
             "status": r.status,
             "stdout": r.stdout.hex(),
@@ -100,7 +118,14 @@ def _fingerprint(module, *, fuse: bool, jit: bool, max_insts: int,
     if sampler is not None:
         doc = profile_doc(sampler, profile_module or module)
         fp["profile"] = json.dumps(doc, sort_keys=True)
-    return fp
+    tiers = {"superblocks": cpu.sb_compiled if cpu else 0,
+             "regions": cpu.jit.promoted if cpu and cpu.jit else 0}
+    return fp, tiers
+
+
+def _fingerprint(module, **kw) -> dict:
+    """One cell's observables (see :func:`_run_cell`)."""
+    return _run_cell(module, **kw)[0]
 
 
 def _canon(obj) -> str:
@@ -122,10 +147,13 @@ def _analysis_view(fp: dict, drop: tuple[str, ...] = ()) -> dict:
 
 def _cell_fingerprints(exe, tool_name: str | None, opt_name: str | None,
                        *, interval: int, max_insts: int) -> dict:
-    """All three dispatch fingerprints (plus stats) for one column.
+    """All three dispatch fingerprints (plus stats, and the tiers each
+    cell compiled) for one column.
 
     ``tool_name is None`` means the uninstrumented base column.  This
-    is the unit of work the parallel leg re-executes in a worker.
+    is the unit of work the parallel leg re-executes in a worker; tier
+    counts are a pure function of the module and the budgets, so the
+    worker must reproduce them too.
     """
     if tool_name is None:
         module, stats, sample = exe, None, interval
@@ -135,12 +163,12 @@ def _cell_fingerprints(exe, tool_name: str | None, opt_name: str | None,
         module = res.module
         stats = {k: v for k, v in sorted(vars(res.stats).items())}
         sample = interval if opt_name in SAMPLED_OPTS else None
-    cells = {}
+    cells, tiers = {}, {}
     for dispatch, (fuse, jit) in DISPATCH.items():
-        cells[dispatch] = _fingerprint(module, fuse=fuse, jit=jit,
-                                       max_insts=max_insts,
-                                       sample_interval=sample)
-    return {"stats": stats, "cells": cells}
+        cells[dispatch], tiers[dispatch] = _run_cell(
+            module, fuse=fuse, jit=jit, max_insts=max_insts,
+            sample_interval=sample)
+    return {"stats": stats, "cells": cells, "tiers": tiers}
 
 
 def _worker_column(exe_bytes: bytes, tool_name: str | None,
@@ -181,6 +209,9 @@ class ProgramReport:
     source: str
     divergences: list[Divergence] = field(default_factory=list)
     seconds: float = 0.0
+    #: dispatch -> {"superblocks": n, "regions": n} compiled over the
+    #: serial leg's columns.
+    tiers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -191,6 +222,13 @@ def _diff_keys(fa: dict, fb: dict) -> str:
     keys = sorted(set(fa) | set(fb))
     bad = [k for k in keys if _canon(fa.get(k)) != _canon(fb.get(k))]
     return "differs in " + ", ".join(bad or ["(structure)"])
+
+
+def _add_tiers(total: dict, tiers: dict) -> None:
+    for dispatch, counts in tiers.items():
+        into = total.setdefault(dispatch, dict.fromkeys(counts, 0))
+        for kind, n in counts.items():
+            into[kind] += n
 
 
 def check_program(source: str, *, seed: int | None = None,
@@ -221,6 +259,7 @@ def check_program(source: str, *, seed: int | None = None,
         columns[key] = _cell_fingerprints(exe, tool_name, opt_name,
                                           interval=interval,
                                           max_insts=max_insts)
+        _add_tiers(report.tiers, columns[key]["tiers"])
         cells = columns[key]["cells"]
         ref = cells["simple"]
         for dispatch in ("fused", "jit"):
@@ -362,6 +401,19 @@ def _write_repro(out_dir, report: ProgramReport, reduced: str | None):
     return out / f"repro_{tag}.mlc"
 
 
+def _write_report(out_dir, checked: int, tiers: dict,
+                  per_program: list) -> None:
+    """``fuzz_report.json``: how many programs were checked and what
+    each dispatch column compiled, in total and per program (CI fails
+    the lane when the jit column compiled no region)."""
+    from pathlib import Path
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "fuzz_report.json").write_text(json.dumps(
+        {"programs": checked, "tiers": tiers, "per_program": per_program},
+        indent=1, sort_keys=True) + "\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="wrl-fuzz",
@@ -397,7 +449,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="worker processes for the parallel leg "
                          "(0 disables the parallel leg; default 2)")
     ap.add_argument("--out", default="fuzz-artifacts", metavar="DIR",
-                    help="where reduced repro programs are written")
+                    help="where fuzz_report.json and reduced repro "
+                         "programs are written")
     ap.add_argument("--reduce", action=argparse.BooleanOptionalAction,
                     default=True,
                     help="shrink the first diverging program")
@@ -435,6 +488,8 @@ def main(argv: list[str] | None = None) -> int:
     t0 = time.monotonic()
     checked = 0
     failed: ProgramReport | None = None
+    tiers: dict[str, dict[str, int]] = {}
+    per_program = []
     pool = None
     if args.jobs > 0:
         pool = ProcessPoolExecutor(max_workers=args.jobs)
@@ -455,6 +510,8 @@ def main(argv: list[str] | None = None) -> int:
                                    interval=args.interval,
                                    max_insts=args.max_insts, pool=pool)
             checked += 1
+            _add_tiers(tiers, report.tiers)
+            per_program.append({"program": label, "tiers": report.tiers})
             state = "ok" if report.ok else "DIVERGED"
             print(f"[{checked}/{len(programs)}] {label} "
                   f"tools={','.join(program_tools)} "
@@ -466,6 +523,10 @@ def main(argv: list[str] | None = None) -> int:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
 
+    _write_report(args.out, checked, tiers, per_program)
+    print("compiled: " + "; ".join(
+        f"{dispatch} {n['superblocks']} superblocks, {n['regions']} regions"
+        for dispatch, n in tiers.items() if dispatch != "simple"))
     if failed is None:
         print(f"all {checked} programs byte-identical across the matrix "
               f"({time.monotonic() - t0:.1f}s)")

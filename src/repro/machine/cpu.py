@@ -28,17 +28,22 @@ is bit-identical either way.
 The fused executor is *compiled*: the run's semantics are emitted as
 Python source and ``compile()``d into one code object, so straight-line
 code pays no per-instruction dispatch, closure call, or stats update at
-all — the classic threaded-code-to-template-JIT step.  Compilation is
-lazy twice over.  One scan at load (:meth:`Cpu.superblock_runs`) finds
-the runs and records them in one ``start -> (end, term)`` table; a head's
-dispatch slot holds a stub until the head is first dispatched, which
-installs the head's handler — a counting trampoline that compiles the
-superblock on its second entry, or the region JIT's hotness counter —
-so cold startup code never pays the compile cost and code that never
-runs pays nothing at all.
+all — the classic threaded-code-to-template-JIT step.  A ``compile()``
+costs far more than the dispatch it saves on one pass, so each tier is
+bought only once the code has run long enough to repay it.  One scan
+at load (:meth:`Cpu.superblock_runs`) finds the runs and records them
+in one ``start -> (end, term)`` table; a head's dispatch slot holds a
+stub until the head is first dispatched, which installs the head's one
+tier-up counter (:meth:`Cpu._tier_up`).  The counter adds the run's
+static length on every entry — the work retired through the head — and
+walks the per-instruction closures until that work reaches
+:data:`FUSE_WORK`, then runs the fused executor, and with the region
+JIT on asks it to promote the head once the work reaches
+:data:`repro.machine.jit.JIT_WORK`.  Code that runs a few times never
+pays a compile, and code that never runs pays nothing at all.
 
 Above fusion sits the region JIT (:mod:`repro.machine.jit`, ``jit=``):
-superblock heads that stay hot past a threshold are recompiled together
+superblock heads promoted by their counters are recompiled together
 with their successor blocks into one multi-block Python function that
 keeps register state in locals and loops entirely inside compiled code,
 side-exiting back to this dispatch loop at region boundaries.  It finds
@@ -76,6 +81,13 @@ FUSE_CAP = 64
 #: Runs shorter than this stay on per-instruction closures: a superblock
 #: of one saves nothing.
 FUSE_MIN = 2
+
+#: Instructions a superblock head retires on per-instruction closures
+#: before its fused executor is compiled: a quarter of the fusion tier's
+#: measured payback (compile cost over the time fusion saves per
+#: executed instruction; EXPERIMENTS.md "Tier-up budgets").  Each
+#: :class:`Cpu` copies it into ``fuse_work`` at construction.
+FUSE_WORK = 256
 
 #: Compiled superblock code objects, keyed by generated source.  The
 #: source is a pure function of the decoded text, so separate runs of the
@@ -136,6 +148,8 @@ class Cpu:
         #: Per-instruction closures built so far: one per instruction
         #: that has executed outside fused and JIT-compiled code.
         self.closures_built = 0
+        #: Retired work at which a superblock head fuses (see _tier_up).
+        self.fuse_work = FUSE_WORK
         self._insts = _decode_text(text)
         #: Lazy call/return classification table for shadow-stack sampling.
         self._ctl: bytearray | None = None
@@ -392,41 +406,59 @@ class Cpu:
         return fn()
 
     def _install_head(self, start: int) -> int:
-        """A superblock head's first dispatch: install the head's handler
-        (the region JIT's hotness counter, else the fusion trampoline)
-        and enter it, so this dispatch is the handler's first entry."""
+        """A superblock head's first dispatch: install the head's tier-up
+        counter and enter it, so this dispatch is the counter's first
+        entry."""
         end, term = self._runs[start]
-        if self.jit is not None:
-            handler = self.jit._counter(start, end, term)
-        else:
-            handler = self._trampoline(start, end, term)
-        self._dispatch[start] = handler
+        handler = self._dispatch[start] = self._tier_up(start, end, term)
         return handler()
 
-    def _trampoline(self, start: int, end: int, term: int | None):
-        """Lazy superblock installer.
+    def _tier_up(self, start: int, end: int, term: int | None,
+                 work: int = 0):
+        """The dispatch closure of a superblock head on its way up the
+        tiers.  ``work`` counts the instructions retired through the
+        head: every entry adds the run's static length.
 
-        The first entry executes the run on the ordinary per-instruction
-        closures (startup code that runs once never pays a compile); the
-        second entry compiles the fused executor and patches it into the
-        dispatch table, where every later entry finds it directly.
+        While ``work`` is under ``fuse_work`` an entry walks the
+        per-instruction closures, so code that runs a few times never
+        pays a compile.  The first entry after it has reached
+        ``fuse_work`` compiles the fused executor; with the JIT off that
+        executor replaces the counter in ``_dispatch``.  With the JIT
+        on, entries run the memoized fused executor until ``work``
+        reaches ``jit.work``, and the next entry installs whatever
+        :meth:`JitManager.promote` returns.  An evicted region's head
+        gets a counter that starts at ``fuse_work``, so it resumes on its
+        fused executor instead of walking again.
         """
-        cold = True
+        length = (end - start) + (term is not None)
+        fuse_at = self.fuse_work
+        jit = self.jit
+        promote_at = jit.work if jit is not None else 0
+        dispatch = self._dispatch
+        step_run = self._step_run
+        fused = None
 
-        def trampoline():
-            nonlocal cold
-            if cold:
-                cold = False
-                return self._step_run(start, end, term)
-            fused = self._fuse(start, end, term)
-            self._dispatch[start] = fused
-            return fused()
-        return trampoline
+        def counting():
+            nonlocal work, fused
+            if work < fuse_at:
+                work += length
+                return step_run(start, end, term)
+            if fused is None:
+                if jit is None:
+                    fused = dispatch[start] = self._fuse(start, end, term)
+                    return fused()
+                fused = jit._fused_for(start, end, term)
+            if work < promote_at:
+                work += length
+                return fused()
+            handler = dispatch[start] = jit.promote(start, fused)
+            return handler()
+        return counting
 
     def _step_run(self, start: int, end: int, term: int | None) -> int:
         """Execute run ``[start, end)`` (+ terminator) on the ordinary
-        per-instruction closures; the cold path under both the lazy
-        fusion trampoline and the JIT's hotness counters."""
+        per-instruction closures: the cold path of a head's tier-up
+        counter."""
         code = self._code
         i = start
         try:

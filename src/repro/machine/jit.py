@@ -8,10 +8,12 @@ access goes through the shared ``regs`` list.
 
 This module promotes *hot* superblock heads one level further, the way
 Pin/DynamoRIO-style binary translators grow traces out of basic blocks.
-A superblock head's first dispatch installs a counting closure on it
-(heads that never run never get one); once its entry count
-passes :data:`JIT_THRESHOLD` the surrounding control-flow region (up to
-:data:`MAX_BLOCKS` blocks reachable from the head) is compiled into a
+A superblock head's first dispatch installs its tier-up counter
+(:meth:`repro.machine.cpu.Cpu._tier_up`; heads that never run never get
+one), which counts the instructions retired through the head.  Once
+that work reaches :data:`JIT_WORK` the counter calls
+:meth:`JitManager.promote`, which compiles the surrounding control-flow
+region (up to :data:`MAX_BLOCKS` blocks reachable from the head) into a
 single Python function in which
 
 * register state lives in plain locals (``g9`` for ``r[9]``), loaded on
@@ -40,10 +42,11 @@ the deterministic PC sampler still lands on exact instruction
 boundaries with the JIT engaged.
 
 Compiled regions are installed in a per-Cpu, capacity-bounded code
-cache with FIFO eviction (the evicted head gets a fresh counting
-closure, so it can re-promote) and explicit invalidation hooks.  Code
-objects are memoized by generated source in a module-level cache shared
-across Cpus, mirroring the fused template cache.
+cache with FIFO eviction (the evicted head resumes on its memoized
+fused executor under a fresh counter, so it can re-promote) and
+explicit invalidation hooks.  Code objects are memoized by generated
+source in a module-level cache shared across Cpus, mirroring the fused
+template cache.
 """
 
 from __future__ import annotations
@@ -55,8 +58,12 @@ from ..isa.opcodes import Format, InstClass
 from .cpu import MASK, SIGN, FUSE_CAP, MachineError, _gen_inst, _divq, _remq
 from .memory import MemoryFault
 
-#: Superblock-head entries before the surrounding region is compiled.
-JIT_THRESHOLD = 16
+#: Instructions a superblock head retires before the region around it
+#: is compiled: a quarter of the region tier's measured payback over
+#: fusion (compile cost over the time a region saves per executed
+#: instruction; EXPERIMENTS.md "Tier-up budgets").  Each
+#: :class:`JitManager` copies it into ``work`` at construction.
+JIT_WORK = 32768
 
 #: Most blocks one region may span.  Kept modest: label dispatch inside
 #: a region is a compare chain, and entry/exit cost scales with the
@@ -408,12 +415,12 @@ class Region:
         self.hi = hi
 
 
-def _region_source(cpu, head: int) -> tuple[str, int, int, int]:
+def _region_source(cpu, head: int) -> tuple[str, int, int, int] | None:
     """Generate a region's Python source rooted at superblock ``head``.
 
-    Returns ``(source, min_fuel, lo, hi)``.  Raises :class:`AssertionError`
-    when some instruction has no fused template (the caller denies the
-    promotion and keeps the plain fused executor).
+    Returns ``(source, min_fuel, lo, hi)``, or None when no back-edge is
+    reachable from the head (the caller denies the promotion and keeps
+    the plain fused executor).
     """
     insts = cpu._insts
     costs = cpu._costs
@@ -442,7 +449,7 @@ def _region_source(cpu, head: int) -> tuple[str, int, int, int]:
     # internal loop the region can only replay what fused dispatch
     # already does, minus the entry/writeback overhead.
     if not _loops_from_head(insts, order, starts, leader, label_of):
-        raise AssertionError("region has no reachable back-edge")
+        return None
 
     scans = {i: _scan_block(insts, i, starts, leader) for i in order}
 
@@ -724,13 +731,13 @@ def _region_source(cpu, head: int) -> tuple[str, int, int, int]:
 
 
 class JitManager:
-    """Hotness tracking, region compilation and the per-Cpu code cache."""
+    """Region promotion and compilation, and the per-Cpu code cache."""
 
-    def __init__(self, cpu, cache_cap: int = DEFAULT_CACHE_CAP,
-                 threshold: int = JIT_THRESHOLD):
+    def __init__(self, cpu, cache_cap: int = DEFAULT_CACHE_CAP):
         self.cpu = cpu
         self.cache_cap = cache_cap
-        self.threshold = threshold
+        #: Retired work at which a head's counter promotes it.
+        self.work = JIT_WORK
         self.promoted = 0
         self.compiled = 0
         self.cache_hits = 0
@@ -739,34 +746,9 @@ class JitManager:
         self.denied = 0
         #: Insertion-ordered: FIFO eviction order.
         self._installed: dict[int, Region] = {}
-        #: Memoized fused executors (the counter warm path and the
-        #: region entry's low-fuel fallback).
+        #: Memoized fused executors (the counter warm path, the region
+        #: entry's low-fuel fallback, and an evicted head's resume).
         self._fused: dict[int, object] = {}
-
-    # ---- hotness ---------------------------------------------------------
-
-    def _counter(self, start: int, end: int, term: int | None):
-        """The dispatch-slot closure for a not-yet-promoted head: cold
-        first entry walks per-instruction closures, warm entries run the
-        fused executor, and crossing the threshold promotes."""
-        cpu = self.cpu
-        dispatch = cpu._dispatch
-        count = 0
-        fused = None
-
-        def counting():
-            nonlocal count, fused
-            count += 1
-            if count == 1:
-                return cpu._step_run(start, end, term)
-            if fused is None:
-                fused = self._fused_for(start, end, term)
-            if count <= self.threshold:
-                return fused()
-            handler = self.promote(start, fused)
-            dispatch[start] = handler
-            return handler()
-        return counting
 
     def _fused_for(self, start: int, end: int, term: int | None):
         fn = self._fused.get(start)
@@ -779,11 +761,10 @@ class JitManager:
     def promote(self, head: int, fused):
         """Compile and install the region at ``head``; returns the new
         dispatch entry (the plain fused executor when promotion is
-        denied — an instruction with no template keeps fusion-level
+        denied — a region with no reachable back-edge keeps fusion-level
         service permanently)."""
-        try:
-            region = self._build(head)
-        except AssertionError:
+        region = self._build(head)
+        if region is None:
             self.denied += 1
             return fused
         cap = max(1, self.cache_cap)
@@ -794,9 +775,12 @@ class JitManager:
         self.promoted += 1
         return self._entry(region, fused)
 
-    def _build(self, head: int) -> Region:
+    def _build(self, head: int) -> Region | None:
         cpu = self.cpu
-        source, min_fuel, lo, hi = _region_source(cpu, head)
+        generated = _region_source(cpu, head)
+        if generated is None:
+            return None
+        source, min_fuel, lo, hi = generated
         code = _JIT_CACHE.get(source)
         if code is None:
             if len(_JIT_CACHE) >= _JIT_CACHE_CAP:
@@ -847,14 +831,16 @@ class JitManager:
 
     def _evict(self, head: int) -> None:
         del self._installed[head]
-        end, term = self.cpu._runs[head]
-        self.cpu._dispatch[head] = self._counter(head, end, term)
+        cpu = self.cpu
+        end, term = cpu._runs[head]
+        cpu._dispatch[head] = cpu._tier_up(head, end, term,
+                                           work=cpu.fuse_work)
 
     def invalidate(self, lo: int = 0, hi: int | None = None) -> int:
         """Drop resident regions overlapping text indices ``[lo, hi)``
         (the hook a self-modifying-code or breakpoint layer would call);
-        their heads fall back to fresh hotness counters.  Returns the
-        number of regions dropped."""
+        their heads fall back to fresh tier-up counters on their fused
+        executors.  Returns the number of regions dropped."""
         if hi is None:
             hi = len(self.cpu._insts)
         victims = [head for head, region in self._installed.items()

@@ -211,10 +211,12 @@ def _note_run(cpu: Cpu, status: int, wall_ns: int, sp) -> None:
     TRACE.count("cpu.sb_cache_hits", cpu.sb_cache_hits)
     if cpu.jit is not None:
         jstats = cpu.jit.stats()
-        sp.add(jit_regions=jstats["jit_regions"])
-        TRACE.count("cpu.jit_regions", jstats["jit_regions"])
-        TRACE.count("cpu.jit_evictions", jstats["jit_evictions"])
-        TRACE.count("cpu.jit_denied", jstats["jit_denied"])
+        sp.add(jit_regions=jstats["jit_regions"],
+               jit_compiled=jstats["jit_compiled"],
+               jit_cache_hits=jstats["jit_cache_hits"])
+        for key in ("jit_regions", "jit_compiled", "jit_cache_hits",
+                    "jit_evictions", "jit_denied"):
+            TRACE.count(f"cpu.{key}", jstats[key])
     if wall_ns > 0 and insts:
         TRACE.observe("machine.insts_per_sec", insts * 1e9 / wall_ns)
 

@@ -7,6 +7,11 @@ JIT engaged must be byte-identical to the same run without it — exit
 status, stdout, output files, ``InstrumentStats``, simulated cycles and
 ``wrl-profile/v1`` artifacts alike.  Hypothesis widens the analysis-
 routine population beyond the hand-written tools.
+
+The tier-up budgets are lowered (the ``early_tiers`` fixture) so these
+short programs reach both compiled tiers, and every comparison checks
+that the jit run promoted a region and the fused run compiled a
+superblock — otherwise "jit vs no-jit" would compare fused with fused.
 """
 
 import json
@@ -16,13 +21,13 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.atom import (OptLevel, ProcBefore, ProgramAfter,
                         instrument_executable)
-from repro.machine import run_module
+from repro.machine import Machine
 from repro.mlc import build_analysis_unit, build_executable
 from repro.obs.runtime import PcSampler, profile_doc
 
 from ..atom.test_o4_hypothesis import analysis_bodies, analysis_source
 
-pytestmark = pytest.mark.jit
+pytestmark = [pytest.mark.jit, pytest.mark.usefixtures("early_tiers")]
 
 #: mlc-compiled example programs: loops hot enough to promote regions,
 #: function calls (dynamic re-entry), arrays, strings and file output.
@@ -84,11 +89,22 @@ def observable(result) -> tuple:
             dict(result.files), result.cycles, result.inst_count)
 
 
+def run_tier(module, jit: bool, sampler=None):
+    """Run ``module`` fused with the JIT on or off; the run must have
+    compiled its tier: a region with the JIT, a superblock without."""
+    machine = Machine(module, jit=jit)
+    result = machine.run(sampler=sampler)
+    cpu = machine.cpu
+    compiled = cpu.jit.promoted if jit else cpu.sb_compiled
+    assert compiled >= 1, f"the jit={jit} run compiled nothing"
+    return result
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
 def test_mlc_programs_bit_identical(name):
     exe = example(name)
-    on = run_module(exe, jit=True)
-    off = run_module(exe, jit=False)
+    on = run_tier(exe, jit=True)
+    off = run_tier(exe, jit=False)
     assert observable(on) == observable(off)
 
 
@@ -116,8 +132,8 @@ def test_instrumented_runs_bit_identical(opt):
     exe = example("checksum")
     res = instrument_executable(exe, counter_tool,
                                 COUNTER_TOOL_ANALYSIS, opt=opt)
-    on = run_module(res.module, jit=True)
-    off = run_module(res.module, jit=False)
+    on = run_tier(res.module, jit=True)
+    off = run_tier(res.module, jit=False)
     assert observable(on) == observable(off)
     assert on.files["calls.out"] == off.files["calls.out"]
     # The instrumenter never sees the JIT, but pin its stats so any
@@ -133,7 +149,7 @@ def test_profile_artifacts_byte_identical(name):
     docs = {}
     for jit in (True, False):
         sampler = PcSampler(interval=97)
-        run_module(exe, jit=jit, sampler=sampler)
+        run_tier(exe, jit=jit, sampler=sampler)
         docs[jit] = json.dumps(profile_doc(sampler, exe), sort_keys=True)
     assert docs[True] == docs[False]
     assert '"wrl-profile/v1"' in docs[True]
@@ -146,7 +162,7 @@ def test_instrumented_profile_identical_across_jit():
     docs = {}
     for jit in (True, False):
         sampler = PcSampler(interval=131)
-        run_module(res.module, jit=jit, sampler=sampler)
+        run_tier(res.module, jit=jit, sampler=sampler)
         docs[jit] = json.dumps(profile_doc(sampler, res.module),
                                sort_keys=True)
     assert docs[True] == docs[False]
@@ -161,13 +177,14 @@ def hypo_tool(iargc, iargv, atom):
 
 
 @settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
 @given(body=analysis_bodies())
 def test_random_analysis_routines_identical_across_jit(body):
     exe = example("checksum")
     anal = build_analysis_unit([analysis_source(body)])
     res = instrument_executable(exe, hypo_tool, anal, opt=OptLevel.O4)
-    on = run_module(res.module, jit=True)
-    off = run_module(res.module, jit=False)
+    on = run_tier(res.module, jit=True)
+    off = run_tier(res.module, jit=False)
     assert observable(on) == observable(off)
     assert on.files["sound.out"] == off.files["sound.out"]

@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.eval.fuzz_matrix import (DISPATCH, _analysis_view, _canon,
-                                    _fingerprint, check_program)
+                                    _fingerprint, check_program, main)
 from repro.mlc import build_executable
 from repro.mlc.fuzz import generate_program, profile_for
 
@@ -75,6 +75,26 @@ def test_check_program_smoke():
                            tools=("prof",), opts=("O0", "O4"))
     assert report.ok, [d.describe() for d in report.divergences]
     assert report.seconds > 0
+    # The fused and jit cells run with lowered tier-up budgets, so they
+    # compare compiled superblocks and regions, not the cold walk.
+    assert report.tiers["simple"] == {"superblocks": 0, "regions": 0}
+    assert report.tiers["fused"]["superblocks"] >= 1
+    assert report.tiers["fused"]["regions"] == 0
+    assert report.tiers["jit"]["regions"] >= 1
+
+
+def test_cli_report_records_tiers_per_column(tmp_path, capsys):
+    """``fuzz_report.json`` carries what each dispatch column compiled;
+    ``make check-fuzz`` fails when the jit column compiled no region."""
+    assert main(["--seed", "0", "--count", "1", "--tools", "prof",
+                 "--opts", "O0", "--jobs", "0", "--out",
+                 str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "fuzz_report.json").read_text())
+    assert doc["programs"] == 1
+    assert doc["per_program"][0]["tiers"] == doc["tiers"]
+    assert set(doc["tiers"]) == set(DISPATCH)
+    assert doc["tiers"]["jit"]["regions"] >= 1
+    assert "compiled: fused" in capsys.readouterr().out
 
 
 @pytest.mark.fuzz

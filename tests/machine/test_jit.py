@@ -2,24 +2,27 @@
 
 Every test runs the same program with jit on and off (and usually the
 plain per-instruction loop too) and insists on identical observable
-state — registers, stats, memory, exit status, faults and fault pcs —
-with the loops hot enough that regions actually get promoted past
-:data:`repro.machine.jit.JIT_THRESHOLD` and the compiled code, not the
-counter warm path, is what gets compared.  The dispatch-loop error
-paths fixed alongside the JIT (budget off-by-one, IndexError masking)
-are pinned here as well.
+state — registers, stats, memory, exit status, faults and fault pcs.
+The tier-up budgets are lowered (the ``early_tiers`` fixture: fuse on
+a head's second entry, promote by its 17th) and the loops run hot
+enough that regions actually get promoted, so the compiled code — not
+the counter warm path — is what gets compared; each jit-vs-fused case
+checks that the jit run promoted a region and the fused run compiled a
+superblock.  The dispatch-loop error paths fixed alongside the JIT
+(budget off-by-one, IndexError masking) are pinned here as well.
 """
 
 import pytest
 
 from repro.isa.asm import assemble
 from repro.machine import MachineError
-from repro.machine.jit import JIT_THRESHOLD
+from repro.machine import jit as jit_mod
 from repro.machine.loader import Machine
 
-pytestmark = pytest.mark.jit
+pytestmark = [pytest.mark.jit, pytest.mark.usefixtures("early_tiers")]
 
-HOT = 8 * JIT_THRESHOLD
+#: Loop iterations: far past promotion under the lowered budgets.
+HOT = 128
 
 
 def build(body: str):
@@ -41,6 +44,13 @@ def machine_state(machine: Machine):
     pages = {no: bytes(page)
              for no, page in machine.memory._pages.items() if any(page)}
     return (list(machine.cpu.regs), list(machine.cpu.stats), pages)
+
+
+def assert_compiled(jit_machine: Machine, fused_machine: Machine):
+    """The jit run promoted a region and the fused run compiled a
+    superblock: the comparison was between compiled tiers."""
+    assert jit_machine.cpu.jit.promoted >= 1
+    assert fused_machine.cpu.sb_compiled >= 1
 
 
 #: Hot loop bodies: memory traffic through stack slots (slot hoisting
@@ -79,8 +89,8 @@ double: addq a0, a0, v0
         ret  (ra)
 done:
 """,
-    "nested-loops": f"""
-        li   s0, {JIT_THRESHOLD * 3}
+    "nested-loops": """
+        li   s0, 48
         clr  t9
 outer:  li   t0, 10
 inner:  addq t9, t0, t9
@@ -106,21 +116,23 @@ loop:   lda  sp, -32(sp)
 
 
 def run_three(body: str, max_insts: int = 2_000_000_000):
-    """{(fuse, jit): (RunResult, state)} over all three dispatch paths."""
+    """{(fuse, jit): (RunResult, state, machine)} over all three
+    dispatch paths."""
     out = {}
     for fuse, jit in ((True, True), (True, False), (False, False)):
         machine = Machine(build(body), fuse=fuse, jit=jit)
         result = machine.run(max_insts=max_insts)
-        out[(fuse, jit)] = (result, machine_state(machine))
+        out[(fuse, jit)] = (result, machine_state(machine), machine)
     return out
 
 
 @pytest.mark.parametrize("name", sorted(JIT_PROGRAMS))
 def test_jit_state_bit_identical(name):
     results = run_three(JIT_PROGRAMS[name])
-    jit_result, jit_state = results[(True, True)]
+    jit_result, jit_state, jit_machine = results[(True, True)]
+    assert_compiled(jit_machine, results[(True, False)][2])
     for other in ((True, False), (False, False)):
-        result, state = results[other]
+        result, state, _ = results[other]
         assert jit_result.status == result.status
         assert jit_result.cycles == result.cycles
         assert jit_result.inst_count == result.inst_count
@@ -159,14 +171,16 @@ poke:   stq  zero, 0(a0)
         ret  (ra)
 done:
 """
-    outcomes = []
+    outcomes, machines = [], []
     for jit in (True, False):
         machine = Machine(build(body), jit=jit)
         with pytest.raises(MachineError) as excinfo:
             machine.run()
         assert excinfo.value.pc is not None
         outcomes.append((str(excinfo.value), machine_state(machine)))
+        machines.append(machine)
     assert outcomes[0] == outcomes[1]
+    assert_compiled(*machines)
 
 
 def test_divide_fault_identical_in_jit_region():
@@ -185,14 +199,16 @@ dodiv:  li   t0, 100
         ret  (ra)
 done:
 """
-    outcomes = []
+    outcomes, machines = [], []
     for jit in (True, False):
         machine = Machine(build(body), jit=jit)
         with pytest.raises(MachineError, match="division by zero") as ei:
             machine.run()
         assert ei.value.pc is not None
         outcomes.append((str(ei.value), machine_state(machine)))
+        machines.append(machine)
     assert outcomes[0] == outcomes[1]
+    assert_compiled(*machines)
 
 
 def test_cache_eviction_stress():
@@ -219,6 +235,7 @@ l{k}:     addq t9, {k + 1}, t9
     machine = Machine(build(body), jit=True)
     machine.cpu.jit.cache_cap = 2
     result = machine.run()
+    assert_compiled(machine, baseline)
     stats = machine.cpu.jit_stats()
     assert stats["jit_evictions"] > 0
     assert stats["jit_resident"] <= 2
@@ -292,6 +309,7 @@ lB:     addq t9, 2, t9
     machine = Machine(build(body), jit=True)
     machine.cpu.jit.cache_cap = 1
     result = machine.run()
+    assert_compiled(machine, baseline)
     stats = machine.cpu.jit_stats()
     assert stats["jit_resident"] <= 1
     # churn, not steady state: far more promotions than the cache holds,
@@ -349,6 +367,7 @@ def test_invalidate_mid_region_then_repromote(name):
 
     assert sampler.invalidated_spans, "nothing was promoted before the " \
         "invalidation point; make the loop hotter or sample later"
+    assert_compiled(machine, baseline)
     stats = machine.cpu.jit_stats()
     assert stats["jit_invalidations"] >= 1
     # the loop got hot again after the drop and promoted a second time
@@ -420,12 +439,93 @@ def test_sampled_profile_identical_with_jit():
     # boundaries with the JIT engaged: the sampled stream is a pure
     # function of (text, entry, interval).
     from repro.obs.runtime import PcSampler
-    samples = {}
+    samples, machines = {}, []
     for jit in (True, False):
         machine = Machine(build(JIT_PROGRAMS["nested-loops"]), jit=jit)
         sampler = PcSampler(interval=7)
         machine.run(sampler=sampler)
         samples[jit] = (dict(sampler.counts),
                         dict(sampler.cycle_counts))
+        machines.append(machine)
     assert samples[True] == samples[False]
+    assert_compiled(*machines)
     assert samples[True][0], "sampler collected nothing"
+
+
+#: A loop whose only way back to its head is a computed call: no region
+#: rooted in it has a back-edge reachable along static edges.
+NO_BACK_EDGE = f"""
+        li   s0, {HOT}
+        clr  t9
+loop:   laa  pv, func
+        jsr  ra, (pv)
+        subq s0, 1, s0
+        bne  s0, loop
+        and  t9, 0xff, t9
+        br   done
+        .globl func
+func:   addq t9, 3, t9
+        xor  t9, 5, t9
+        ret  (ra)
+done:
+"""
+
+
+def test_region_without_back_edge_is_denied():
+    """The one expected denial: the head is counted in ``jit_denied``
+    and keeps its fused executor, with state identical to jit off."""
+    machines = {}
+    for jit in (True, False):
+        machine = Machine(build(NO_BACK_EDGE), jit=jit)
+        machine.run()
+        machines[jit] = machine
+    stats = machines[True].cpu.jit_stats()
+    assert stats["jit_denied"] >= 1
+    assert stats["jit_compiled"] == stats["jit_resident"] == 0
+    cpu = machines[True].cpu
+    func = cpu._index_of(machines[True].module.symtab["func"].value)
+    assert cpu._dispatch[func] is cpu.jit._fused[func]
+    assert machine_state(machines[True]) == machine_state(machines[False])
+
+
+def test_region_generation_errors_propagate(monkeypatch):
+    """Only the no-back-edge case is a denial: a failure anywhere else
+    in building a region is a bug and must surface, not be counted as
+    ``jit_denied`` while the run carries on fused."""
+    def broken(*args):
+        raise AssertionError("region source bug")
+    monkeypatch.setattr(jit_mod, "_effective_keys", broken)
+    machine = Machine(build(JIT_PROGRAMS["stack-slots"]), jit=True)
+    with pytest.raises(AssertionError, match="region source bug"):
+        machine.run()
+    assert machine.cpu.jit.denied == 0
+
+
+def test_every_fusible_opcode_has_a_template():
+    """The back-edge denial is the only expected way a region fails to
+    build: every memory and operate opcode has a fused template (and a
+    region-tier rewrite of it), register and literal forms alike, and
+    every branch and jump a terminator template."""
+    from repro.isa import opcodes
+    from repro.isa.instruction import Instruction
+    from repro.isa.opcodes import Format
+    from repro.machine.cpu import _gen_inst, _gen_term
+    checked = 0
+    for op in opcodes.BY_MNEMONIC.values():
+        if op.format in (Format.MEMORY, Format.OPERATE):
+            for lit in (False, True):
+                inst = Instruction(op, ra=1, rb=2, rc=3, disp=8, lit=5,
+                                   is_lit=lit)
+                lines, _ = _gen_inst(inst, 0x1000)
+                compile("\n".join(lines) or "pass", op.mnemonic, "exec")
+                lines, _ = jit_mod._gen_inst_jit(inst, 0x1000, None)
+                compile("\n".join(lines) or "pass", op.mnemonic, "exec")
+            checked += 1
+        elif op.format in (Format.BRANCH, Format.JUMP):
+            inst = Instruction(op, ra=1, rb=2, disp=-4)
+            body = "\n".join(" " + line
+                             for line in _gen_term(inst, 40, 0x1000))
+            compile(f"def t():\n{body}\n", op.mnemonic, "exec")
+            checked += 1
+    assert checked == sum(op.format is not Format.SYSTEM
+                          for op in opcodes.BY_MNEMONIC.values()) == 47

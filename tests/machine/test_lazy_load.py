@@ -3,11 +3,13 @@
 ``Cpu(...)`` decodes the whole text but builds nothing executable: every
 ``_code`` slot is a stub that compiles its instruction's closure on first
 execution, and every superblock head's ``_dispatch`` slot is a stub that
-installs the head's trampoline (fused) or hotness counter (JIT) on first
-dispatch.  These tests pin down that nothing is built at load, that what
-gets built is exactly what executes, and that building it late changes
-no architectural state and no JIT counter: each lazy run is compared
-with the same machine forced into the old eager shape.
+installs the head's tier-up counter on first dispatch.  These tests pin
+down that nothing is built at load, that what gets built is exactly what
+executes, and that building it late changes no architectural state and
+no JIT counter: each lazy run is compared with the same machine forced
+into the old eager shape.  The tier-up budgets are lowered (the
+``early_tiers`` fixture) so the short loops here reach both compiled
+tiers.
 """
 
 from types import MethodType
@@ -23,17 +25,18 @@ from repro.isa.instruction import Instruction
 from repro.machine import cpu as cpu_mod
 from repro.machine import jit as jit_mod
 from repro.machine.cpu import BudgetExhausted
-from repro.machine.jit import JIT_THRESHOLD, MAX_BLOCKS
+from repro.machine.jit import MAX_BLOCKS
 from repro.machine.loader import Machine
 from repro.objfile.linker import link
 from repro.obs.runtime import PcSampler
 from repro.tools import get_tool
 from repro.workloads import build_workload
 
-pytestmark = pytest.mark.jit
+pytestmark = [pytest.mark.jit, pytest.mark.usefixtures("early_tiers")]
 
 MODES = ((True, True), (True, False), (False, False))
-HOT = 8 * JIT_THRESHOLD
+#: Loop iterations: far past promotion under the lowered budgets.
+HOT = 128
 
 
 def build(body: str, tail: str = ""):
@@ -68,7 +71,7 @@ def built_indices(cpu) -> set[int]:
 
 def make_eager(machine: Machine) -> Machine:
     """Force a freshly loaded machine into the shape load used to build:
-    every closure compiled, every head's handler installed."""
+    every closure compiled, every head's tier-up counter installed."""
     cpu = machine.cpu
     for i, inst in enumerate(cpu._insts):
         fn = cpu._compile(inst, i, cpu._costs[i])
@@ -77,9 +80,7 @@ def make_eager(machine: Machine) -> Machine:
         cpu._code[i] = fn
     if cpu.fused:
         for start, (end, term) in cpu._runs.items():
-            cpu._dispatch[start] = (
-                cpu.jit._counter(start, end, term) if cpu.jit is not None
-                else cpu._trampoline(start, end, term))
+            cpu._dispatch[start] = cpu._tier_up(start, end, term)
     return machine
 
 
@@ -256,8 +257,8 @@ def chain(tag: str, blocks: int) -> str:
 def test_jit_eviction_churn_on_lazily_installed_heads():
     """Two loops alternating under a one-region cache: every promotion
     evicts the other loop's region, the evicted head gets a fresh
-    counter, and each re-promotion matches the eager machine exactly —
-    state and every JIT counter."""
+    counter on its fused executor, and each re-promotion matches the
+    eager machine exactly — state and every JIT counter."""
     module = build(f"""
         li   s5, 6
         clr  t9

@@ -2,10 +2,11 @@
 
 Every test here runs the same program under the fused dispatch and the
 plain per-instruction loop and insists on identical machine state —
-registers, stats, memory, faults, and fault pcs.  Loops run enough
-iterations that the lazy compiler actually installs the generated
-superblock executors, so the compiled templates (not just the cold
-trampoline path) are what gets compared.
+registers, stats, memory, faults, and fault pcs.  The tier-up budgets
+are lowered (the ``early_tiers`` fixture: a head fuses on its second
+entry) and loops run enough iterations that the generated superblock
+executors are actually installed, so the compiled templates (not just
+the counter's cold walk) are what gets compared.
 """
 
 import pytest
@@ -14,6 +15,8 @@ from repro.isa.asm import assemble
 from repro.machine import MachineError
 from repro.machine.loader import Machine
 from repro.workloads import build_workload
+
+pytestmark = pytest.mark.usefixtures("early_tiers")
 
 
 def build(body: str):
@@ -38,13 +41,17 @@ def machine_state(machine: Machine):
     return (list(machine.cpu.regs), list(machine.cpu.stats), pages)
 
 
-def run_both(body: str, max_insts: int = 2_000_000_000):
-    """(fused, unfused) pairs of (RunResult, state)."""
+def run_both(body: str, max_insts: int = 2_000_000_000,
+             compiled: bool = True):
+    """(fused, unfused) pairs of (RunResult, state); with ``compiled``
+    the fused run must have compiled a superblock."""
     out = []
     for fuse in (True, False):
         machine = Machine(build(body), fuse=fuse)
         result = machine.run(max_insts=max_insts)
         out.append((result, machine_state(machine)))
+        if fuse and compiled:
+            assert machine.cpu.sb_compiled >= 1
     return out
 
 
@@ -153,7 +160,7 @@ mid:    subq t9, 48, t9
         ret  (ra)
 done:
 """
-    (fused_result, _), (simple_result, _) = run_both(body)
+    (fused_result, _), (simple_result, _) = run_both(body, compiled=False)
     assert fused_result.status == simple_result.status == 42
 
 
@@ -185,8 +192,8 @@ def test_instruction_budget_exact_in_all_modes():
     # on all three dispatch paths, with identical machine state.
     body = "loop: " + "\n      ".join(["addq t0, 1, t0"] * 30) + \
            "\n      br loop"
-    # 100 exhausts before the JIT threshold; 2000 exhausts well after
-    # the hot loop has been promoted into a compiled region.
+    # 100 exhausts a few iterations in; 2000 exhausts well after the
+    # hot loop has been promoted into a compiled region.
     for budget in (100, 2000):
         states = {}
         for fuse, jit in ((False, False), (True, False), (True, True)):
@@ -196,6 +203,10 @@ def test_instruction_budget_exact_in_all_modes():
             assert machine.cpu.inst_count == budget, \
                 f"budget overshot with fuse={fuse} jit={jit}"
             states[(fuse, jit)] = machine_state(machine)
+            if fuse:
+                assert machine.cpu.sb_compiled >= 1
+            if jit and budget == 2000:
+                assert machine.cpu.jit.promoted >= 1
         assert states[(False, False)] == states[(True, False)] \
             == states[(True, True)]
 
@@ -224,6 +235,7 @@ done:
             machine.run()
         assert excinfo.value.pc is not None
         messages.append(str(excinfo.value))
+        assert machine.cpu.sb_compiled >= fuse
     assert messages[0] == messages[1]
     assert "pc=" in messages[0]
 
@@ -250,4 +262,5 @@ done:
         assert ei.value.pc is not None, \
             f"divide fault lost its pc with fuse={fuse}"
         messages.append(str(ei.value))
+        assert machine.cpu.sb_compiled >= fuse
     assert messages[0] == messages[1]

@@ -123,3 +123,27 @@ def test_load_and_run_spans_split_interpretation(traced):
     labels = [label for label, _ in span_rows(traced.snapshot())]
     assert "interpret/machine.load" in labels
     assert "interpret/machine.run" in labels
+
+
+def test_run_span_counts_region_compiles(traced, early_tiers):
+    """The ``machine.run`` span and the ``cpu.*`` counters say how many
+    regions a run compiled with ``compile()`` and how many it took from
+    the shared code cache, so a trace shows the compile work a run did.
+    A second run of the same executable compiles nothing."""
+    from repro.machine import jit, run_module
+    from repro.workloads import build_workload
+    module = build_workload("fib")
+    jit._JIT_CACHE.clear()
+    results = [run_module(module), run_module(module)]
+    runs = [e for e in traced.events if e["name"] == "machine.run"]
+    assert len(runs) == 2
+    for event, result in zip(runs, results):
+        for key in ("jit_regions", "jit_compiled", "jit_cache_hits"):
+            assert event["args"][key] == result.jit_stats[key]
+    first, second = (r.jit_stats for r in results)
+    assert first["jit_compiled"] >= 1
+    assert second["jit_compiled"] == 0
+    assert second["jit_cache_hits"] == second["jit_regions"] >= 1
+    for key in ("jit_regions", "jit_compiled", "jit_cache_hits",
+                "jit_evictions", "jit_denied"):
+        assert traced.counters[f"cpu.{key}"] == first[key] + second[key]
