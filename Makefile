@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test bench bench-smoke validate-baseline check-bench check-jit check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics fuzz-corpus
+.PHONY: check test bench bench-smoke validate-baseline check-bench check-jit check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics fuzz-corpus rewrite-digests
 
 # Tier-1 gate: full test suite, then a bench smoke run whose report (and
 # the committed baseline, if present) must satisfy the v1 schema.
@@ -41,15 +41,19 @@ check-jit:
 	$(PYTHON) -m repro.perf.bench --out /tmp/bench_jit.json
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_jit.json
 
-# Parallel conformance/differential matrix lane (pytest -m matrix).
-# Deterministically sharded: `make check-matrix SHARD=0 SHARDS=2` runs
-# half the matrix; run every shard to cover all of it.  Set
-# WRL_MATRIX_FULL=1 for all 20 workloads instead of the quick set.
+# Parallel conformance/differential matrix lane (pytest -m matrix), plus
+# the rewrite byte-identity lane: every tool x workload x O0-O4 rewrite
+# against its committed digest.  Deterministically sharded: `make
+# check-matrix SHARD=0 SHARDS=2` runs half of each; run every shard to
+# cover all of it.  Set WRL_MATRIX_FULL=1 for all 20 workloads instead of
+# the quick set in the conformance matrix (the digest lane always covers
+# all 20).
 SHARD ?= 0
 SHARDS ?= 1
 check-matrix:
 	WRL_EVAL_SHARD=$(SHARD) WRL_EVAL_SHARDS=$(SHARDS) \
-	$(PYTHON) -m pytest -q -m matrix tests/eval/test_parallel_matrix.py
+	$(PYTHON) -m pytest -q -m matrix tests/eval/test_parallel_matrix.py \
+	    tests/atom/test_rewrite_digests.py
 
 # Full matrix through the parallel pipeline; rewrites EVAL_matrix.json.
 eval-matrix:
@@ -148,6 +152,12 @@ check-metrics:
 fuzz-corpus:
 	$(PYTHON) -m repro.mlc.fuzz --seed 0 --count 25 \
 	    --out-dir tests/fuzz/corpus
+
+# Regenerate the committed rewrite digests (policy as for the corpus):
+# only when a rewrite's output changes deliberately, stated in
+# CHANGES.md, never to paper over a difference.
+rewrite-digests:
+	$(PYTHON) -m tests.atom.test_rewrite_digests
 
 validate-baseline:
 	$(PYTHON) -c "import json, sys; \

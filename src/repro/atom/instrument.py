@@ -90,7 +90,8 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
 
     ``instrument_fn(iargc, iargv, atom)`` is the tool's instrumentation
     routine; ``analysis_unit`` is a linked analysis module (see
-    :func:`repro.mlc.build_analysis_unit`) or MLC source text.
+    :func:`repro.mlc.build_analysis_unit`), its serialized bytes, or MLC
+    source text.
 
     ``heap_mode`` selects the two-sbrk scheme: "linked" (default — both
     sbrks allocate from one kernel break, each continuing where the other
@@ -260,7 +261,9 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
 
 def _as_analysis_module(analysis_unit) -> Module:
     if isinstance(analysis_unit, Module):
-        return Module.from_bytes(analysis_unit.to_bytes())
+        analysis_unit = analysis_unit.to_bytes()
+    if isinstance(analysis_unit, bytes):
+        return Module.from_bytes(analysis_unit)
     from ..mlc import build_analysis_unit
     if isinstance(analysis_unit, str):
         return build_analysis_unit([analysis_unit])
@@ -320,9 +323,9 @@ def _splice_proc(proc: IRProc, lowerer: Lowerer, liveness, stats) -> None:
                 if block.insts[idx].inst.is_ret():
                     # Registers live just before the ret — i.e. live at
                     # procedure exit.  (Indexing against the spliced
-                    # instruction list is fine: live_before walks back
-                    # from the block's current end, and earlier splices
-                    # for this block all landed before the ret.)
+                    # instruction list is fine: live_before runs its
+                    # backward pass over the block as it now stands, from
+                    # the block's live-out set.)
                     live = liveness.live_before(block, idx) \
                         if liveness else None
                     block.insts[idx:idx] = lowerer.snippet(
@@ -338,14 +341,17 @@ def _splice_block(block: IRBlock, lowerer: Lowerer, liveness) -> None:
     has_block_after = bool(block.after)
     if not has_inst_hooks and not has_block_after:
         return
+    # One backward pass: lives[i] is live before instruction i,
+    # lives[i + 1] live after it.
+    lives = liveness.block_lives(block) if liveness else None
     new_insts: list[IRInst] = []
     for idx, ir in enumerate(block.insts):
         if ir.before:
-            live = liveness.live_before(block, idx) if liveness else None
+            live = lives[idx] if lives else None
             new_insts.extend(lowerer.snippet(ir.before, ir, live))
         new_insts.append(ir)
         if ir.after:
-            live = liveness.live_after(block, idx) if liveness else None
+            live = lives[idx + 1] if lives else None
             new_insts.extend(lowerer.snippet(ir.after, ir, live))
     if has_block_after:
         live = liveness.live_out[block.index] if liveness else None

@@ -191,8 +191,7 @@ def _try_inline(plan: ProcSavePlan, proc: IRProc,
             for rel in ir.relocs]
     fuse_lda_bases(body)
     body, _removed = peephole_straightline(body)
-    clobbers = frozenset(
-        d for ir in body for d in ir.inst.defs()) - {R.ZERO}
+    clobbers = frozenset(d for ir in body for d in ir.inst.defs())
     plan.mode = "inlined"
     plan.body = tuple(body)
     saves = (clobbers & SAVE_CANDIDATES) - arg_regs - {R.RA}

@@ -106,6 +106,11 @@ def preload_process() -> None:
 
 def analysis_unit_for(tool: Tool, *, cache=_DEFAULT_CACHE) -> Module:
     """Compile the tool's analysis routines into a linked unit (cached)."""
+    return Module.from_bytes(_analysis_blob(tool, cache=cache))
+
+
+def _analysis_blob(tool: Tool, *, cache=_DEFAULT_CACHE) -> bytes:
+    """The serialized analysis unit of ``tool``, compiled on a miss."""
     key = analysis_key(tool.analysis_source)
     blob = _analysis_cache.get(key)
     if blob is None:
@@ -127,7 +132,7 @@ def analysis_unit_for(tool: Tool, *, cache=_DEFAULT_CACHE) -> Module:
         while len(_analysis_cache) >= _ANALYSIS_CACHE_CAP:
             _analysis_cache.pop(next(iter(_analysis_cache)))
         _analysis_cache[key] = blob
-    return Module.from_bytes(blob)
+    return blob
 
 
 #: Exceptions a *malformed byte stream* can legitimately raise while
@@ -202,8 +207,10 @@ def apply_tool(app: Module, tool: Tool, *,
                         sp.add(cached=True)
                         return hit
         COMPILE_COUNTS["instrument"] += 1
+        # The unit goes in serialized: instrument_executable decodes its
+        # own copy, so the unit is decoded once per rewrite.
         result = instrument_executable(app, tool.instrument,
-                                       analysis_unit_for(tool, cache=cache),
+                                       _analysis_blob(tool, cache=cache),
                                        opt=opt, heap_mode=heap_mode,
                                        tool_args=tool_args)
         if key is not None:

@@ -233,6 +233,11 @@ _CALL_USES = frozenset({R.A0, R.A1, R.A2, R.A3, R.A4, R.A5, R.SP, R.GP,
 class Liveness:
     """Backward intra-procedural liveness with conventional call effects.
 
+    Each block is summarized once as a (gen, kill) pair, so the fixpoint
+    costs one set operation per block visit, and :meth:`block_lives`
+    gives the live set before every instruction of a block in one
+    backward pass.
+
     Sound only for convention-following code, which is why the paper ships
     the data-flow-summary approach as the default and leaves liveness as a
     planned refinement (our opt level O3).
@@ -245,22 +250,18 @@ class Liveness:
         self._solve()
         TRACE.count("om.liveness_procs")
 
-    def _transfer(self, block: IRBlock,
-                  live: frozenset[int]) -> frozenset[int]:
-        current = set(live)
-        for ir in reversed(block.insts):
-            inst = ir.inst
-            if inst.is_call():
-                current -= ALL_CALLER_SAVED
-                current |= _CALL_USES
-            else:
-                current -= inst.defs()
-                current |= inst.uses()
-        return frozenset(current)
-
     def _solve(self) -> None:
         blocks = self.proc.blocks
+        summary = {}
         for block in blocks:
+            # live_in = gen | (live_out - kill), composed back to front.
+            gen: frozenset[int] = frozenset()
+            kill: frozenset[int] = frozenset()
+            for ir in reversed(block.insts):
+                defs, uses = _effect(ir.inst)
+                gen = (gen - defs) | uses
+                kill |= defs
+            summary[block.index] = (gen, kill)
             exits = not block.succs
             self.live_out[block.index] = _LIVE_AT_RET if exits \
                 else frozenset()
@@ -278,36 +279,40 @@ class Liveness:
                 out_f = frozenset(out)
                 if out_f != self.live_out[block.index]:
                     self.live_out[block.index] = out_f
-                new_in = self._transfer(block, out_f)
+                gen, kill = summary[block.index]
+                new_in = gen | (out_f - kill)
                 if new_in != self.live_in[block.index]:
                     self.live_in[block.index] = new_in
                     changed = True
 
+    def block_lives(self, block: IRBlock) -> list[frozenset[int]]:
+        """Registers live before each of ``block.insts``, then live out:
+        entry ``i`` is the live set before instruction ``i``, and the
+        last entry is ``live_out``."""
+        live = self.live_out[block.index]
+        lives = [live]
+        for ir in reversed(block.insts):
+            defs, uses = _effect(ir.inst)
+            live = (live - defs) | uses
+            lives.append(live)
+        lives.reverse()
+        return lives
+
     def live_before(self, block: IRBlock, inst_index: int) -> frozenset[int]:
         """Registers live immediately before block.insts[inst_index]."""
-        current = set(self.live_out[block.index])
-        for i in range(len(block.insts) - 1, inst_index - 1, -1):
-            inst = block.insts[i].inst
-            if inst.is_call():
-                current -= ALL_CALLER_SAVED
-                current |= _CALL_USES
-            else:
-                current -= inst.defs()
-                current |= inst.uses()
-        return frozenset(current)
+        return self.block_lives(block)[inst_index]
 
     def live_after(self, block: IRBlock, inst_index: int) -> frozenset[int]:
         """Registers live immediately after block.insts[inst_index]."""
-        current = set(self.live_out[block.index])
-        for i in range(len(block.insts) - 1, inst_index, -1):
-            inst = block.insts[i].inst
-            if inst.is_call():
-                current -= ALL_CALLER_SAVED
-                current |= _CALL_USES
-            else:
-                current -= inst.defs()
-                current |= inst.uses()
-        return frozenset(current)
+        return self.block_lives(block)[inst_index + 1]
+
+
+def _effect(inst) -> tuple[frozenset[int], frozenset[int]]:
+    """(defs, uses) of one instruction for liveness: a call clobbers every
+    caller-saved register and reads the convention's argument set."""
+    if inst.is_call():
+        return ALL_CALLER_SAVED, _CALL_USES
+    return inst.defs(), inst.uses()
 
 
 # ---- register renaming ----------------------------------------------------------

@@ -313,7 +313,7 @@ def peephole_straightline(insts: list[IRInst],
     removed = 0
     for ir in reversed(insts):
         inst = ir.inst
-        defs = inst.defs() - {R.ZERO}
+        defs = inst.defs()
         if inst.op.inst_class in removable and defs \
                 and defs.isdisjoint(live):
             removed += 1
@@ -447,12 +447,15 @@ def fuse_lda_bases(insts: list[IRInst]) -> int:
     ``lda`` nor any target instruction carries a relocation or a
     save-bracket tag.  The address arithmetic the O4 constant folder
     leaves behind (``counts + 8*n``) disappears into the loads and stores
-    themselves.  Returns the number of ``lda`` instructions fused away.
+    themselves.  Each instruction's effects are read once, and re-read
+    only for a target whose base a fusion rewrote.  Returns the number of
+    ``lda`` instructions fused away.
     """
+    effects = [_fusion_effects(ir.inst) for ir in insts]
     fused = 0
     i = 0
     while i < len(insts):
-        if _try_fuse(insts, i):
+        if _try_fuse(insts, effects, i):
             fused += 1
         else:
             i += 1
@@ -460,7 +463,11 @@ def fuse_lda_bases(insts: list[IRInst]) -> int:
     return fused
 
 
-def _try_fuse(insts: list[IRInst], i: int) -> bool:
+def _fusion_effects(inst) -> tuple[bool, frozenset[int], frozenset[int]]:
+    return inst.ends_block(), inst.uses(), inst.defs()
+
+
+def _try_fuse(insts: list[IRInst], effects: list, i: int) -> bool:
     inst = insts[i].inst
     if inst.op is not opcodes.LDA or insts[i].relocs \
             or insts[i].snip is not None or inst.ra == R.ZERO:
@@ -468,32 +475,34 @@ def _try_fuse(insts: list[IRInst], i: int) -> bool:
     rx, rb, d = inst.ra, inst.rb, inst.disp
     targets: list[int] = []
     for j in range(i + 1, len(insts)):
-        nxt = insts[j].inst
-        if nxt.ends_block():
+        ends_block, uses, defs = effects[j]
+        if ends_block:
             return False
-        uses = nxt.uses()
         if rx in uses:
             # A target carrying a relocation (LO16 on the displacement)
             # or a bracket tag must not have its encoded disp rewritten:
             # the relocation would later be applied on top of the fused
             # displacement and corrupt it.
+            nxt = insts[j].inst
             if not nxt.is_memory_ref() or nxt.rb != rx \
                     or (nxt.is_store() and nxt.ra == rx) \
                     or insts[j].relocs or insts[j].snip is not None \
                     or not _fits16(d + nxt.disp):
                 return False
             targets.append(j)
-        if rx in nxt.defs():
+        if rx in defs:
             break
-        if rb != rx and rb in nxt.defs() and rb != R.ZERO:
+        if rb != rx and rb in defs:
             # Base changes while rX may still be used later.
             return False
     if not targets:
         return False
     for j in targets:
-        insts[j].inst = insts[j].inst.copy(rb=rb, disp=insts[j].inst.disp
-                                           + d)
+        nxt = insts[j].inst.copy(rb=rb, disp=insts[j].inst.disp + d)
+        insts[j].inst = nxt
+        effects[j] = _fusion_effects(nxt)
     del insts[i]
+    del effects[i]
     return True
 
 
@@ -663,7 +672,7 @@ def _dce_point(insts: list[IRInst], live: frozenset[int]) -> int:
     removed = 0
     for ir in reversed(insts):
         inst = ir.inst
-        defs = inst.defs() - {R.ZERO}
+        defs = inst.defs()
         if ir.snip is None and inst.op.inst_class in removable \
                 and defs and defs.isdisjoint(live_now):
             removed += 1

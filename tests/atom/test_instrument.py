@@ -648,3 +648,34 @@ class TestFarCalls:
                 bytes(module.section(".text").data))
                 if i.op is opcodes.JSR)
         assert count_jsr(far.module) > count_jsr(near.module)
+
+
+class TestInputs:
+    @staticmethod
+    def Instrument(iargc, iargv, atom):
+        atom.AddCallProto("Count(int)")
+        atom.AddCallProto("Report()")
+        for p in atom.procs():
+            for b in atom.blocks(p):
+                atom.AddCallBlock(b, BlockBefore, "Count", 2)
+        atom.AddCallProgram(ProgramAfter, "Report")
+
+    def test_inputs_byte_unchanged(self, app, counter_analysis):
+        """Neither input module is mutated, at any level: the O1+
+        renaming and O2 in-frame rewrite work on the instrumenter's own
+        copy of the analysis unit."""
+        app_bytes = app.to_bytes()
+        unit_bytes = counter_analysis.to_bytes()
+        for level in OptLevel:
+            instr(app, self.Instrument, counter_analysis, opt=level)
+        assert app.to_bytes() == app_bytes
+        assert counter_analysis.to_bytes() == unit_bytes
+
+    def test_serialized_unit_rewrites_identically(self, app,
+                                                  counter_analysis):
+        as_module = instr(app, self.Instrument, counter_analysis,
+                          opt=OptLevel.O4)
+        as_bytes = instr(app, self.Instrument, counter_analysis.to_bytes(),
+                         opt=OptLevel.O4)
+        assert as_bytes.module.to_bytes() == as_module.module.to_bytes()
+        assert as_bytes.stats == as_module.stats

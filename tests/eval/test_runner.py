@@ -70,3 +70,24 @@ def test_apply_tool_opt_levels():
         res = apply_tool(app, tool, opt=level)
         out = run_instrumented(res)
         assert out.status == 0
+
+
+def test_apply_tool_decodes_analysis_unit_once(monkeypatch):
+    """The in-process blob goes to the instrumenter serialized: one
+    decode per rewrite, not a decode plus a defensive re-encode and
+    decode."""
+    from repro.objfile.module import Module
+    tool = get_tool("io")
+    app = build_workload("fileio")
+    blob = analysis_unit_for(tool, cache=None).to_bytes()
+    decoded = []
+    real = Module.from_bytes.__func__
+
+    def counting(cls, data):
+        if bytes(data) == blob:
+            decoded.append(len(data))
+        return real(cls, data)
+
+    monkeypatch.setattr(Module, "from_bytes", classmethod(counting))
+    apply_tool(app, tool, cache=None)
+    assert len(decoded) == 1

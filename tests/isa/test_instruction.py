@@ -1,7 +1,10 @@
 """Def/use sets and classification predicates of Instruction."""
 
+import pytest
+
 from repro.isa import opcodes, registers as R
 from repro.isa.instruction import Instruction, nop
+from repro.isa.opcodes import Format, InstClass
 
 
 def test_load_def_use():
@@ -103,3 +106,95 @@ def test_str_rendering():
                                               disp=8))
     assert "addq t0, #4, t1" in str(
         Instruction(opcodes.ADDQ, ra=R.T0, lit=4, is_lit=True, rc=R.T1))
+
+
+def test_copy_is_independent():
+    inst = Instruction(opcodes.LDQ, ra=R.T0, rb=R.SP, disp=8)
+    same = inst.copy()
+    assert same == inst and same is not inst
+    moved = inst.copy(rb=R.GP, disp=16)
+    moved.ra = R.T1
+    assert (moved.ra, moved.rb, moved.disp) == (R.T1, R.GP, 16)
+    assert (inst.ra, inst.rb, inst.disp) == (R.T0, R.SP, 8)
+
+
+def test_copy_rejects_unknown_field():
+    with pytest.raises(TypeError):
+        Instruction(opcodes.LDQ).copy(base=R.SP)
+
+
+# ---- the effect table against the per-format derivation it replaced -----
+
+def _reference_defs(inst):
+    op = inst.op
+    out = set()
+    if op.format is Format.MEMORY:
+        if op.inst_class in (InstClass.LOAD, InstClass.LOAD_ADDRESS):
+            out.add(inst.ra)
+    elif op.format is Format.BRANCH:
+        if op.inst_class in (InstClass.UNCOND_BRANCH, InstClass.CALL):
+            out.add(inst.ra)
+    elif op.format is Format.JUMP:
+        if op.inst_class in (InstClass.CALL, InstClass.JUMP):
+            out.add(inst.ra)
+    elif op.format is Format.OPERATE:
+        out.add(inst.rc)
+    elif op.format is Format.SYSTEM:
+        if op.inst_class is InstClass.SYSCALL:
+            out.add(R.V0)
+    out.discard(R.ZERO)
+    return frozenset(out)
+
+
+def _reference_uses(inst):
+    op = inst.op
+    out = set()
+    if op.format is Format.MEMORY:
+        out.add(inst.rb)
+        if op.inst_class is InstClass.STORE:
+            out.add(inst.ra)
+    elif op.format is Format.BRANCH:
+        if op.inst_class is InstClass.COND_BRANCH:
+            out.add(inst.ra)
+    elif op.format is Format.JUMP:
+        out.add(inst.rb)
+    elif op.format is Format.OPERATE:
+        out.add(inst.ra)
+        if not inst.is_lit:
+            out.add(inst.rb)
+        if op.mnemonic in ("cmoveq", "cmovne"):
+            out.add(inst.rc)
+    elif op.format is Format.SYSTEM:
+        if op.inst_class is InstClass.SYSCALL:
+            out.update({R.V0, *R.ARG_REGS})
+    out.discard(R.ZERO)
+    return frozenset(out)
+
+
+def _reference_ends_block(inst):
+    return inst.op.inst_class in (
+        InstClass.COND_BRANCH, InstClass.UNCOND_BRANCH, InstClass.CALL,
+        InstClass.JUMP, InstClass.RET, InstClass.SYSCALL, InstClass.HALT)
+
+
+def test_effect_table_matches_reference():
+    """For every opcode, each of ra, rb and rc swept over all 32
+    registers, with and without a literal, while the other two fields
+    take zero, a fixed register, or the swept register itself."""
+    fields = ("ra", "rb", "rc")
+    for op in opcodes.ALL_OPS:
+        assert Instruction(op).ends_block() \
+            == _reference_ends_block(Instruction(op)), op.mnemonic
+        for is_lit in (False, True):
+            for swept in fields:
+                others = [f for f in fields if f != swept]
+                for reg in range(R.NUM_REGS):
+                    for x in (R.ZERO, R.T5, reg):
+                        for y in (R.ZERO, R.T6, reg):
+                            inst = Instruction(
+                                op, lit=7, is_lit=is_lit,
+                                **{swept: reg, others[0]: x, others[1]: y})
+                            assert inst.defs() == _reference_defs(inst), \
+                                inst
+                            assert inst.uses() == _reference_uses(inst), \
+                                inst
