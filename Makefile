@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test bench bench-smoke validate-baseline check-bench check-jit check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics fuzz-corpus rewrite-digests
+.PHONY: check test bench bench-smoke validate-baseline check-bench check-dispatch check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics fuzz-corpus rewrite-digests
 
 # Tier-1 gate: full test suite, then a bench smoke run whose report (and
 # the committed baseline, if present) must satisfy the v1 schema.
@@ -28,18 +28,14 @@ check-bench:
 	$(PYTHON) -m repro.perf.bench --out /tmp/bench_fresh.json
 	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_fresh.json
 
-# Region-JIT lane: the jit on/off differential suites (machine-level
-# state identity plus the end-to-end instrumented/profiled lane, lazy
-# load against an eagerly built machine, and the tier-up policy), then
-# the bench regression gate so a JIT throughput regression fails CI
-# (interpreter insts/sec gates only on same-host comparisons; the
-# deterministic cycle legs gate everywhere).
-check-jit:
-	$(PYTHON) -m pytest -q tests/machine/test_jit.py \
-	    tests/eval/test_jit_differential.py tests/machine/test_superblocks.py \
-	    tests/machine/test_lazy_load.py tests/machine/test_tier_policy.py
-	$(PYTHON) -m repro.perf.bench --out /tmp/bench_jit.json
-	$(PYTHON) -m repro.perf.bench --compare BENCH_interp.json /tmp/bench_jit.json
+# Dispatch lane: the fused-vs-simple differential suites (machine-level
+# state identity plus the end-to-end instrumented/profiled lane), lazy
+# load against an eagerly built machine, and the tier-up policy.  The
+# bench regression gate for dispatch throughput is check-bench.
+check-dispatch:
+	$(PYTHON) -m pytest -q tests/machine/test_superblocks.py \
+	    tests/machine/test_lazy_load.py tests/machine/test_tier_policy.py \
+	    tests/eval/test_dispatch_differential.py
 
 # Parallel conformance/differential matrix lane (pytest -m matrix), plus
 # the rewrite byte-identity lane: every tool x workload x O0-O4 rewrite
@@ -65,9 +61,10 @@ check-obs:
 	$(PYTHON) -m pytest -q tests/obs
 	$(PYTHON) -m repro.obs.overhead --quick --out /tmp/obs_overhead.json
 
-# Guest-profiler lane: runtime-profiler unit tests, the sampling-off
-# overhead budget (the sampler branch must cost nothing when disabled;
-# same <2% gate as tracing), then an end-to-end profile of prof@O4 —
+# Guest-profiler lane: runtime-profiler unit tests, the disabled-
+# observability overhead budget around Cpu.run (same <2% gate as
+# check-obs; the sampler costs one `is None` test per run inside
+# Cpu.run), then an end-to-end profile of prof@O4 —
 # flamegraph stacks + annotated disassembly written to PROFILE_DIR
 # (uploaded as a CI artifact), failing if >1% of samples are
 # unattributable.
@@ -85,8 +82,9 @@ check-profile:
 # `-m fuzz`), then a fixed-seed wrl-fuzz smoke over fresh programs under
 # a hard time budget.  A divergence writes a reduced repro program to
 # FUZZ_DIR (uploaded as a CI artifact) and fails the lane, and so does a
-# report whose jit column compiled no region (the jit-vs-fused check
-# would then compare fused code with itself).  The deep
+# report whose fused column compiled no superblock (the fused-vs-simple
+# check would then compare the per-instruction walk with itself).  The
+# deep
 # lane is tunable without code changes: make check-fuzz FUZZ_SEED=100
 # FUZZ_COUNT=50 FUZZ_BUDGET=600.
 FUZZ_DIR ?= /tmp/wrl-fuzz
@@ -99,9 +97,9 @@ check-fuzz:
 	    --count $(FUZZ_COUNT) --time-budget $(FUZZ_BUDGET) \
 	    --jobs 2 --out $(FUZZ_DIR)
 	$(PYTHON) -c "import json, sys; \
-	jit = json.load(open('$(FUZZ_DIR)/fuzz_report.json'))['tiers']['jit']; \
-	sys.exit(0 if jit['regions'] else \
-	         'check-fuzz: the jit column compiled no region')"
+	fused = json.load(open('$(FUZZ_DIR)/fuzz_report.json'))['tiers']['fused']; \
+	sys.exit(0 if fused['superblocks'] else \
+	         'check-fuzz: the fused column compiled no superblock')"
 
 # Taint lane: shadow-semantics property tests and the end-to-end taint
 # tool tests, pristine attribution under the densest instrumentation

@@ -88,8 +88,6 @@ class Lowerer:
 
     plans: SavePlans
     data: AtomData
-    #: liveness per application proc (O3 only): name -> Liveness
-    liveness: dict = field(default_factory=dict)
     #: use bsr (True) or ldah/lda+jsr for direct analysis calls
     analysis_in_bsr_range: bool = False
     #: instrumentation points lowered so far (save-bracket site ids)

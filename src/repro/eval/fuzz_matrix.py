@@ -5,7 +5,7 @@ function of the program — never of how we rewrote or executed it.  This
 harness operationalizes that over :mod:`repro.mlc.fuzz` programs: each
 program is compiled once, then every cell of
 
-    (tool, opt in O0..O4) x dispatch in {simple, fused, jit} x
+    (tool, opt in O0..O4) x dispatch in {simple, fused} x
     {serial, parallel}
 
 is fingerprinted and the fingerprints are compared **byte-for-byte**
@@ -25,11 +25,11 @@ is fingerprinted and the fingerprints are compared **byte-for-byte**
   a fresh worker process and must reproduce the serial fingerprints and
   ``InstrumentStats`` byte-identically — cross-process determinism.
 
-The fused and jit cells run with the tier-up budgets lowered to
-:data:`DIFF_FUSE_WORK` and :data:`DIFF_JIT_WORK`, so the short programs
-the fuzzer generates execute compiled superblocks and regions rather
-than only the per-instruction walk; the superblocks and regions each
-dispatch column compiled go into the run's ``fuzz_report.json``.
+The fused cells run with the tier-up budget lowered to
+:data:`DIFF_FUSE_WORK`, so the short programs the fuzzer generates
+execute compiled superblocks rather than only the per-instruction walk;
+the superblocks each dispatch column compiled go into the run's
+``fuzz_report.json``.
 
 Any divergence is shrunk by :mod:`repro.mlc.reduce` under a *narrow*
 predicate that replays only the two cells that disagreed, and the
@@ -56,12 +56,8 @@ from ..obs.runtime import PcSampler, profile_doc
 from ..tools import get_tool
 from .runner import apply_tool
 
-#: Dispatch tiers under test, name -> (fuse, jit).
-DISPATCH: dict[str, tuple[bool, bool]] = {
-    "simple": (False, False),
-    "fused": (True, False),
-    "jit": (True, True),
-}
+#: Dispatch tiers under test, name -> fuse.
+DISPATCH: dict[str, bool] = {"simple": False, "fused": True}
 
 #: Opt levels whose cells also carry a wrl-profile/v1 document.  Base
 #: runs are always sampled.  Sampling every opt level would roughly
@@ -70,11 +66,10 @@ DISPATCH: dict[str, tuple[bool, bool]] = {
 #: most aggressively rewritten instrumented modules bracket it.
 SAMPLED_OPTS = ("O0", "O4")
 
-#: Tier-up budgets of the fused and jit cells: a superblock head fuses
-#: on its second entry and promotes by its 17th.  The same budgets drive
-#: the tier differential tests.
+#: Tier-up budget of the fused cells: a superblock head fuses on its
+#: second entry.  The same budget drives the dispatch differential
+#: tests.
 DIFF_FUSE_WORK = 1
-DIFF_JIT_WORK = 32
 
 DEFAULT_INTERVAL = 509          # prime, so samples drift across loops
 DEFAULT_MAX_INSTS = 80_000_000
@@ -83,11 +78,11 @@ DEFAULT_TOOLS = ("prof", "dyninst", "taint")
 
 # ---------------------------------------------------------------- cells
 
-def _run_cell(module, *, fuse: bool, jit: bool, max_insts: int,
+def _run_cell(module, *, fuse: bool, max_insts: int,
               sample_interval: int | None,
               profile_module=None) -> tuple[dict, dict]:
     """One cell's observables as a canonical-JSON-able dict, and the
-    superblocks and regions its run compiled.
+    superblocks its run compiled.
 
     Machine faults are *part of the fingerprint*: a program that
     divides by zero must fault identically in every cell, so errors are
@@ -98,11 +93,9 @@ def _run_cell(module, *, fuse: bool, jit: bool, max_insts: int,
         sampler = PcSampler(interval=sample_interval)
     cpu = None
     try:
-        machine = Machine(module, fuse=fuse, jit=jit)
+        machine = Machine(module, fuse=fuse)
         cpu = machine.cpu
         cpu.fuse_work = DIFF_FUSE_WORK
-        if cpu.jit is not None:
-            cpu.jit.work = DIFF_JIT_WORK
         r = machine.run(max_insts=max_insts, sampler=sampler)
         fp = {
             "status": r.status,
@@ -118,8 +111,7 @@ def _run_cell(module, *, fuse: bool, jit: bool, max_insts: int,
     if sampler is not None:
         doc = profile_doc(sampler, profile_module or module)
         fp["profile"] = json.dumps(doc, sort_keys=True)
-    tiers = {"superblocks": cpu.sb_compiled if cpu else 0,
-             "regions": cpu.jit.promoted if cpu and cpu.jit else 0}
+    tiers = {"superblocks": cpu.sb_compiled if cpu else 0}
     return fp, tiers
 
 
@@ -147,7 +139,7 @@ def _analysis_view(fp: dict, drop: tuple[str, ...] = ()) -> dict:
 
 def _cell_fingerprints(exe, tool_name: str | None, opt_name: str | None,
                        *, interval: int, max_insts: int) -> dict:
-    """All three dispatch fingerprints (plus stats, and the tiers each
+    """Every dispatch fingerprint (plus stats, and the superblocks each
     cell compiled) for one column.
 
     ``tool_name is None`` means the uninstrumented base column.  This
@@ -164,9 +156,9 @@ def _cell_fingerprints(exe, tool_name: str | None, opt_name: str | None,
         stats = {k: v for k, v in sorted(vars(res.stats).items())}
         sample = interval if opt_name in SAMPLED_OPTS else None
     cells, tiers = {}, {}
-    for dispatch, (fuse, jit) in DISPATCH.items():
+    for dispatch, fuse in DISPATCH.items():
         cells[dispatch], tiers[dispatch] = _run_cell(
-            module, fuse=fuse, jit=jit, max_insts=max_insts,
+            module, fuse=fuse, max_insts=max_insts,
             sample_interval=sample)
     return {"stats": stats, "cells": cells, "tiers": tiers}
 
@@ -209,8 +201,8 @@ class ProgramReport:
     source: str
     divergences: list[Divergence] = field(default_factory=list)
     seconds: float = 0.0
-    #: dispatch -> {"superblocks": n, "regions": n} compiled over the
-    #: serial leg's columns.
+    #: dispatch -> {"superblocks": n} compiled over the serial leg's
+    #: columns.
     tiers: dict[str, dict[str, int]] = field(default_factory=dict)
 
     @property
@@ -261,19 +253,18 @@ def check_program(source: str, *, seed: int | None = None,
                                           max_insts=max_insts)
         _add_tiers(report.tiers, columns[key]["tiers"])
         cells = columns[key]["cells"]
-        ref = cells["simple"]
-        for dispatch in ("fused", "jit"):
-            if _canon(cells[dispatch]) != _canon(ref):
-                kind = "profile" if (
-                    _canon({k: v for k, v in cells[dispatch].items()
-                            if k != "profile"}) ==
-                    _canon({k: v for k, v in ref.items()
-                            if k != "profile"})) else "dispatch"
-                diverge(kind, tool_name, opt_name, "simple", dispatch,
-                        _diff_keys(ref, cells[dispatch]))
-                if stop_on_first:
-                    report.seconds = time.monotonic() - t0
-                    return report
+        ref, fused = cells["simple"], cells["fused"]
+        if _canon(fused) != _canon(ref):
+            kind = "profile" if (
+                _canon({k: v for k, v in fused.items()
+                        if k != "profile"}) ==
+                _canon({k: v for k, v in ref.items()
+                        if k != "profile"})) else "dispatch"
+            diverge(kind, tool_name, opt_name, "simple", "fused",
+                    _diff_keys(ref, fused))
+            if stop_on_first:
+                report.seconds = time.monotonic() - t0
+                return report
 
     # cross-opt: analysis artifacts identical along each tool's row
     for tool_name in tools:
@@ -334,9 +325,8 @@ def divergence_predicate(div: Divergence, *, interval: int = DEFAULT_INTERVAL,
                                   or opt_name in SAMPLED_OPTS) else None
             fps = {}
             for dispatch in (div.cell_a, div.cell_b):
-                fuse, jit = DISPATCH[dispatch]
                 fps[dispatch] = _fingerprint(
-                    module, fuse=fuse, jit=jit, max_insts=max_insts,
+                    module, fuse=DISPATCH[dispatch], max_insts=max_insts,
                     sample_interval=sample)
             return _canon(fps[div.cell_a]) != _canon(fps[div.cell_b])
         if div.kind == "cross-opt":
@@ -345,17 +335,17 @@ def divergence_predicate(div: Divergence, *, interval: int = DEFAULT_INTERVAL,
                 res = apply_tool(exe, get_tool(div.tool),
                                  opt=OptLevel[opt_name], cache=None)
                 views[opt_name] = _analysis_view(_fingerprint(
-                    res.module, fuse=False, jit=False,
+                    res.module, fuse=False,
                     max_insts=max_insts, sample_interval=None))
             return _canon(views[div.cell_a]) != _canon(views[div.cell_b])
         if div.kind == "transparency":
             base = _analysis_view(_fingerprint(
-                exe, fuse=False, jit=False, max_insts=max_insts,
+                exe, fuse=False, max_insts=max_insts,
                 sample_interval=None))
             res = apply_tool(exe, get_tool(div.tool),
                              opt=OptLevel[div.opt], cache=None)
             got = _analysis_view(
-                _fingerprint(res.module, fuse=False, jit=False,
+                _fingerprint(res.module, fuse=False,
                              max_insts=max_insts, sample_interval=None),
                 drop=(get_tool(div.tool).output_file,))
             return _canon(got) != _canon(base)
@@ -405,7 +395,7 @@ def _write_report(out_dir, checked: int, tiers: dict,
                   per_program: list) -> None:
     """``fuzz_report.json``: how many programs were checked and what
     each dispatch column compiled, in total and per program (CI fails
-    the lane when the jit column compiled no region)."""
+    the lane when the fused column compiled no superblock)."""
     from pathlib import Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -525,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
 
     _write_report(args.out, checked, tiers, per_program)
     print("compiled: " + "; ".join(
-        f"{dispatch} {n['superblocks']} superblocks, {n['regions']} regions"
+        f"{dispatch} {n['superblocks']} superblocks"
         for dispatch, n in tiers.items() if dispatch != "simple"))
     if failed is None:
         print(f"all {checked} programs byte-identical across the matrix "

@@ -94,7 +94,7 @@ def preload_process() -> None:
     # what remains lazy are the tool/workload registries and the
     # heavier leaf modules the first task would fault in.
     from .. import tools, workloads                       # noqa: F401
-    from ..machine import jit, loader                     # noqa: F401
+    from ..machine import loader                          # noqa: F401
     from ..mlc import codegen, parser                     # noqa: F401
     from ..obs import runtime                             # noqa: F401
     from ..tools import TOOL_NAMES, get_tool
@@ -239,7 +239,7 @@ def _instrument_from_payload(payload: bytes,
 
 
 def _checked_run(module: Module, *, stage: str, args, stdin,
-                 max_insts: int, fuse: bool = True, jit: bool = True,
+                 max_insts: int, fuse: bool = True,
                  sampler=None) -> RunResult:
     if not isinstance(max_insts, int) or max_insts <= 0:
         raise ValueError(
@@ -248,7 +248,7 @@ def _checked_run(module: Module, *, stage: str, args, stdin,
         with TRACE.span(f"interpret.{stage}", "interpret") as sp:
             _tag(sp)
             result = run_module(module, args=tuple(args), stdin=stdin,
-                                max_insts=max_insts, fuse=fuse, jit=jit,
+                                max_insts=max_insts, fuse=fuse,
                                 sampler=sampler)
             sp.add(insts=result.inst_count, cycles=result.cycles,
                    status=result.status)
@@ -259,19 +259,21 @@ def _checked_run(module: Module, *, stage: str, args, stdin,
         raise EvalTimeout(stage, max_insts, exc.pc) from exc
 
 
+# ``jit`` is accepted and ignored because perfbench/fig5.py passes
+# ``jit=False`` (pinned by
+# tests/eval/test_runner.py::test_runners_accept_and_ignore_jit).
 def run_uninstrumented(app: Module, *, args=(), stdin=b"",
                        max_insts: int = 500_000_000,
-                       fuse: bool = True, jit: bool = True,
+                       fuse: bool = True, jit: bool | None = None,
                        sampler=None) -> RunResult:
     return _checked_run(app, stage="base", args=args, stdin=stdin,
-                        max_insts=max_insts, fuse=fuse, jit=jit,
-                        sampler=sampler)
+                        max_insts=max_insts, fuse=fuse, sampler=sampler)
 
 
 def run_instrumented(result: InstrumentResult, *, args=(), stdin=b"",
                      max_insts: int = 2_000_000_000,
-                     fuse: bool = True, jit: bool = True,
+                     fuse: bool = True, jit: bool | None = None,
                      sampler=None) -> RunResult:
     return _checked_run(result.module, stage="instrumented", args=args,
                         stdin=stdin, max_insts=max_insts, fuse=fuse,
-                        jit=jit, sampler=sampler)
+                        sampler=sampler)

@@ -2,13 +2,12 @@
 
 from .costmodel import CostModel
 from .cpu import BudgetExhausted, Cpu, MachineError
-from .jit import JitManager
 from .loader import Machine, RunResult, run_module
 from .memory import Memory, MemoryFault
 from .syscalls import ExitProgram, Kernel
 
 __all__ = [
-    "BudgetExhausted", "CostModel", "Cpu", "JitManager", "MachineError",
+    "BudgetExhausted", "CostModel", "Cpu", "MachineError",
     "Machine", "RunResult", "run_module", "Memory", "MemoryFault",
     "ExitProgram", "Kernel",
 ]

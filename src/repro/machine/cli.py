@@ -20,13 +20,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--max-insts", type=int, default=2_000_000_000,
                     help="instruction budget (timeout; exit 124)")
     ap.add_argument("--stats", action="store_true",
-                    help="print cycle/instruction counts (and JIT code "
-                         "cache counters) to stderr")
-    ap.add_argument("--jit", default=True,
-                    action=argparse.BooleanOptionalAction,
-                    help="JIT-compile hot superblock regions "
-                         "(--no-jit to A/B against template fusion; "
-                         "architecturally invisible either way)")
+                    help="print cycle/instruction counts to stderr")
     ap.add_argument("--dump-files", action="store_true",
                     help="print virtual-filesystem outputs to stderr")
     ap.add_argument("--trace", default=trace_path_from_env(),
@@ -111,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = run_uninstrumented(module, args=tuple(args.args),
                                     stdin=stdin, max_insts=args.max_insts,
-                                    jit=args.jit, sampler=sampler)
+                                    sampler=sampler)
     except EvalTimeout as exc:
         print(f"wrl-run: {exc}", file=sys.stderr)
         return 124
@@ -144,10 +138,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.stats:
         print(f"[cycles={result.cycles} insts={result.inst_count}]",
               file=sys.stderr)
-        if result.jit_stats is not None:
-            pairs = " ".join(f"{k.removeprefix('jit_')}={v}"
-                             for k, v in result.jit_stats.items())
-            print(f"[jit {pairs}]", file=sys.stderr)
     if args.dump_files:
         for name, content in sorted(result.files.items()):
             print(f"--- {name} ---", file=sys.stderr)
@@ -177,7 +167,7 @@ def _main_via_server(args, server: str) -> int:
     client = ServeClient(server)
     try:
         reply = client.run_exe(exe, args=tuple(args.args), stdin=stdin,
-                               max_insts=args.max_insts, jit=args.jit,
+                               max_insts=args.max_insts,
                                tenant=tenant, trace_id=trace_id)
     except ServeError as exc:
         print(f"wrl-run: {exc}", file=sys.stderr)
@@ -194,10 +184,6 @@ def _main_via_server(args, server: str) -> int:
     if args.stats:
         print(f"[cycles={reply.cycles} insts={reply.insts}]",
               file=sys.stderr)
-        if reply.jit_stats is not None:
-            pairs = " ".join(f"{k.removeprefix('jit_')}={v}"
-                             for k, v in reply.jit_stats.items())
-            print(f"[jit {pairs}]", file=sys.stderr)
     if args.dump_files:
         for name, content in sorted((reply.files or {}).items()):
             print(f"--- {name} ---", file=sys.stderr)

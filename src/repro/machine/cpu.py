@@ -29,29 +29,19 @@ The fused executor is *compiled*: the run's semantics are emitted as
 Python source and ``compile()``d into one code object, so straight-line
 code pays no per-instruction dispatch, closure call, or stats update at
 all — the classic threaded-code-to-template-JIT step.  A ``compile()``
-costs far more than the dispatch it saves on one pass, so each tier is
-bought only once the code has run long enough to repay it.  One scan
-at load (:meth:`Cpu.superblock_runs`) finds the runs and records them
-in one ``start -> (end, term)`` table; a head's dispatch slot holds a
-stub until the head is first dispatched, which installs the head's one
+costs far more than the dispatch it saves on one pass, so it is bought
+only once the code has run long enough to repay it.  One scan at load
+(:meth:`Cpu.superblock_runs`) finds the runs and records them in one
+``start -> (end, term)`` table; a head's dispatch slot holds a stub
+until the head is first dispatched, which installs the head's one
 tier-up counter (:meth:`Cpu._tier_up`).  The counter adds the run's
 static length on every entry — the work retired through the head — and
 walks the per-instruction closures until that work reaches
-:data:`FUSE_WORK`, then runs the fused executor, and with the region
-JIT on asks it to promote the head once the work reaches
-:data:`repro.machine.jit.JIT_WORK`.  Code that runs a few times never
-pays a compile, and code that never runs pays nothing at all.
-
-Above fusion sits the region JIT (:mod:`repro.machine.jit`, ``jit=``):
-superblock heads promoted by their counters are recompiled together
-with their successor blocks into one multi-block Python function that
-keeps register state in locals and loops entirely inside compiled code,
-side-exiting back to this dispatch loop at region boundaries.  It finds
-its blocks on the same scan's leader table.  The JIT
-honours ``_jit_limit`` (a one-element fuel list set by :meth:`run` and
-:meth:`_run_sampled`): a region never pushes ``stats[1]`` past the
-current limit, which is how both the instruction budget and the
-deterministic sampling boundaries survive multi-block execution.
+:data:`FUSE_WORK`; the next entry compiles the fused executor, which
+replaces the counter in the dispatch table.  Code that runs a few times
+never pays a compile, and code that never runs pays nothing at all.
+Fused dispatch is the machine's top tier; DESIGN.md §8 says why no
+multi-block region tier sits above it.
 
 This simulator is the reproduction's stand-in for Alpha silicon.  ATOM
 itself uses *no* simulation — the instrumented executable is ordinary
@@ -123,8 +113,7 @@ class Cpu:
 
     def __init__(self, memory: Memory, kernel: Kernel, text_base: int,
                  text: bytes, cost_model: CostModel = DEFAULT,
-                 fuse: bool = True, jit: bool = True,
-                 cost_streams=None):
+                 fuse: bool = True, cost_streams=None):
         self.memory = memory
         self.kernel = kernel
         self.text_base = text_base
@@ -132,12 +121,6 @@ class Cpu:
         #: stats[0] = cycles, stats[1] = instructions executed
         self.stats = [0, 0]
         self.fused = fuse
-        #: Region-JIT manager (None when jit or fuse is off).
-        self.jit = None
-        #: Fuel ceiling for JIT'd regions: a region returns before
-        #: stats[1] would exceed ``_jit_limit[0]``.  One-element list so
-        #: generated code can share it by reference.
-        self._jit_limit = [0]
         #: Fusion bookkeeping the observability layer reads per run:
         #: runs found at decode, fused executors actually compiled, and
         #: compiles served from the shared source cache.  Plain integer
@@ -146,7 +129,7 @@ class Cpu:
         self.sb_compiled = 0
         self.sb_cache_hits = 0
         #: Per-instruction closures built so far: one per instruction
-        #: that has executed outside fused and JIT-compiled code.
+        #: that has executed outside fused code.
         self.closures_built = 0
         #: Retired work at which a superblock head fuses (see _tier_up).
         self.fuse_work = FUSE_WORK
@@ -171,9 +154,6 @@ class Cpu:
             install = self._install_head
             for start in self._runs:
                 self._dispatch[start] = MethodType(install, start)
-            if jit:
-                from .jit import JitManager
-                self.jit = JitManager(self)
         else:
             self._dispatch, self._max_fused = self._code, 1
 
@@ -186,10 +166,6 @@ class Cpu:
     @property
     def inst_count(self) -> int:
         return self.stats[1]
-
-    def jit_stats(self) -> dict | None:
-        """Region-JIT cache counters for this Cpu (None when jit off)."""
-        return self.jit.stats() if self.jit is not None else None
 
     def run(self, entry: int, max_insts: int = 2_000_000_000,
             sampler=None) -> int:
@@ -208,8 +184,6 @@ class Cpu:
         dispatch = self._dispatch
         code = self._code
         stats = self.stats
-        # JIT'd regions meter themselves against the budget directly.
-        self._jit_limit[0] = max_insts
         # While at least ``_max_fused`` instructions of budget remain, no
         # single dispatch — superblock or not — can push stats[1] past
         # max_insts, so the fast loop needs only one check per dispatch.
@@ -287,12 +261,8 @@ class Cpu:
                                 leave(index)
                     sample(prev)
                     next_at += interval
-            jit_limit = self._jit_limit
             while True:
                 limit = next_at if next_at < budget_cap else budget_cap
-                # Regions stop strictly short of the boundary (and the
-                # budget), so the slow loop below always lands on it.
-                jit_limit[0] = limit - 1
                 fast_limit = limit - max_fused
                 while stats[1] < fast_limit:
                     index = dispatch[index]()
@@ -353,10 +323,6 @@ class Cpu:
         *terminator* (``term == end``); syscalls and halts stay on their
         per-instruction closures (``term is None``).  Runs longer than
         :data:`FUSE_CAP` are chained as consecutive superblocks.
-
-        The scan's leader table is kept as ``_leader``: the region JIT
-        discovers its blocks on the same table, so one scan at load
-        serves both tiers.
         """
         insts = self._insts
         n = len(insts)
@@ -390,7 +356,6 @@ class Cpu:
             if (j - i) + (term is not None) >= FUSE_MIN:
                 runs.append((i, j, term))
             i = j if term is None else j + 1
-        self._leader = leader
         return runs
 
     def _materialize(self, index: int) -> int:
@@ -413,46 +378,30 @@ class Cpu:
         handler = self._dispatch[start] = self._tier_up(start, end, term)
         return handler()
 
-    def _tier_up(self, start: int, end: int, term: int | None,
-                 work: int = 0):
-        """The dispatch closure of a superblock head on its way up the
-        tiers.  ``work`` counts the instructions retired through the
+    def _tier_up(self, start: int, end: int, term: int | None):
+        """The dispatch closure of a superblock head on its way up to
+        fusion.  ``work`` counts the instructions retired through the
         head: every entry adds the run's static length.
 
         While ``work`` is under ``fuse_work`` an entry walks the
         per-instruction closures, so code that runs a few times never
         pays a compile.  The first entry after it has reached
-        ``fuse_work`` compiles the fused executor; with the JIT off that
-        executor replaces the counter in ``_dispatch``.  With the JIT
-        on, entries run the memoized fused executor until ``work``
-        reaches ``jit.work``, and the next entry installs whatever
-        :meth:`JitManager.promote` returns.  An evicted region's head
-        gets a counter that starts at ``fuse_work``, so it resumes on its
-        fused executor instead of walking again.
+        ``fuse_work`` compiles the fused executor, which replaces the
+        counter in ``_dispatch``.
         """
         length = (end - start) + (term is not None)
         fuse_at = self.fuse_work
-        jit = self.jit
-        promote_at = jit.work if jit is not None else 0
         dispatch = self._dispatch
         step_run = self._step_run
-        fused = None
+        work = 0
 
         def counting():
-            nonlocal work, fused
+            nonlocal work
             if work < fuse_at:
                 work += length
                 return step_run(start, end, term)
-            if fused is None:
-                if jit is None:
-                    fused = dispatch[start] = self._fuse(start, end, term)
-                    return fused()
-                fused = jit._fused_for(start, end, term)
-            if work < promote_at:
-                work += length
-                return fused()
-            handler = dispatch[start] = jit.promote(start, fused)
-            return handler()
+            fused = dispatch[start] = self._fuse(start, end, term)
+            return fused()
         return counting
 
     def _step_run(self, start: int, end: int, term: int | None) -> int:

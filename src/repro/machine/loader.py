@@ -38,8 +38,9 @@ class RunResult:
     #: Addresses a test may want to compare across runs.
     heap_base: int = 0
     initial_sp: int = 0
-    #: Region-JIT cache counters (None when the JIT is off).  Excluded
-    #: from equality: cache behaviour is not architectural state.
+    #: Always None.  Kept because perfbench's traced fig6-run mode reads
+    #: it (pinned by
+    #: tests/eval/test_runner.py::test_run_result_jit_stats_is_always_none).
     jit_stats: dict | None = field(default=None, compare=False)
 
     def output_text(self) -> str:
@@ -62,9 +63,6 @@ class Machine:
     #: Superblock fusion in the interpreter (architecturally invisible;
     #: disable to A/B the per-instruction dispatch loop).
     fuse: bool = True
-    #: Region JIT above fusion (also architecturally invisible; disable
-    #: to A/B hot-path compilation).  Requires ``fuse``.
-    jit: bool = True
 
     def __post_init__(self) -> None:
         if not self.module.linked:
@@ -76,7 +74,6 @@ class Machine:
         self._load_segments()
         self.cpu = Cpu(self.memory, self.kernel, self._text_vaddr,
                        self._text_bytes, self.cost_model, fuse=self.fuse,
-                       jit=self.jit,
                        cost_streams=self._cost_streams())
         self._setup_stack()
 
@@ -191,7 +188,6 @@ class Machine:
             inst_count=self.cpu.inst_count,
             heap_base=self.heap_base,
             initial_sp=self.initial_sp,
-            jit_stats=self.cpu.jit_stats(),
         )
 
 
@@ -209,14 +205,6 @@ def _note_run(cpu: Cpu, status: int, wall_ns: int, sp) -> None:
     TRACE.count("cpu.superblocks", cpu.sb_runs)
     TRACE.count("cpu.superblocks_compiled", cpu.sb_compiled)
     TRACE.count("cpu.sb_cache_hits", cpu.sb_cache_hits)
-    if cpu.jit is not None:
-        jstats = cpu.jit.stats()
-        sp.add(jit_regions=jstats["jit_regions"],
-               jit_compiled=jstats["jit_compiled"],
-               jit_cache_hits=jstats["jit_cache_hits"])
-        for key in ("jit_regions", "jit_compiled", "jit_cache_hits",
-                    "jit_evictions", "jit_denied"):
-            TRACE.count(f"cpu.{key}", jstats[key])
     if wall_ns > 0 and insts:
         TRACE.observe("machine.insts_per_sec", insts * 1e9 / wall_ns)
 
@@ -226,8 +214,7 @@ def run_module(module: Module, *, stdin: bytes = b"",
                cost_model: CostModel | None = None,
                preload_files: dict[str, bytes] | None = None,
                max_insts: int = 2_000_000_000,
-               fuse: bool = True, jit: bool = True,
-               sampler=None) -> RunResult:
+               fuse: bool = True, sampler=None) -> RunResult:
     """Convenience: load and run an executable module in one call.
 
     With tracing on, the load is a ``machine.load`` span beside the run's
@@ -237,7 +224,7 @@ def run_module(module: Module, *, stdin: bytes = b"",
         return Machine(module, stdin=stdin, args=args,
                        cost_model=cost_model or DEFAULT,
                        preload_files=preload_files or {},
-                       fuse=fuse, jit=jit)
+                       fuse=fuse)
     if not TRACE.enabled:
         machine = load()
     else:

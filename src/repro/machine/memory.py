@@ -52,14 +52,6 @@ class Memory:
         #: access valid, and if so on which bytes" — the fast path for
         #: typed access here and for the fused-superblock inline code.
         self._fast: dict[int, bytearray] = {}
-        #: typed views over ``_fast`` pages (little-endian hosts), so
-        #: compiled code can do aligned loads/stores as one index
-        #: operation instead of slice + int conversion.  The views write
-        #: through to the same page bytearrays, and pages never resize,
-        #: so the views stay valid for the page's lifetime.
-        self._fastq: dict[int, memoryview] = {}
-        self._fastl: dict[int, memoryview] = {}
-        self._fastw: dict[int, memoryview] = {}
         #: page number -> (lo, hi): the slice of the page known to lie
         #: inside one mapped region.  Same monotonicity argument as
         #: ``_full``, but also covers partially-mapped pages (small data
@@ -107,7 +99,7 @@ class Memory:
             self._full.add(page_no)
             page = self._pages.get(page_no)
             if page is not None:
-                self._install_fast(page_no, page)
+                self._fast[page_no] = page
         self._extent[page_no] = (max(region.start, page_lo),
                                  min(region.end, page_hi))
 
@@ -116,20 +108,13 @@ class Memory:
 
     # ---- raw page access ----------------------------------------------------
 
-    def _install_fast(self, page_no: int, page: bytearray) -> None:
-        self._fast[page_no] = page
-        view = memoryview(page)
-        self._fastq[page_no] = view.cast("Q")
-        self._fastl[page_no] = view.cast("I")
-        self._fastw[page_no] = view.cast("H")
-
     def _page(self, page_no: int) -> bytearray:
         page = self._pages.get(page_no)
         if page is None:
             page = bytearray(PAGE_SIZE)
             self._pages[page_no] = page
             if page_no in self._full:
-                self._install_fast(page_no, page)
+                self._fast[page_no] = page
         return page
 
     def read(self, addr: int, size: int) -> bytes:

@@ -2,7 +2,7 @@
 
 The fuzzed-program generator the ROADMAP calls for: given a seed it
 emits one deterministic MLC translation unit, weighted toward the
-constructs that stress the instrumentation optimizer and the region JIT
+constructs that stress the instrumentation optimizer and fused dispatch
 — nested loops with back-edges, call graphs with (mutual) recursion,
 pointer aliasing through locals/globals/arrays, mixed-width
 byte/word/long/quad memory traffic through a multi-page buffer (so

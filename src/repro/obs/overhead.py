@@ -11,35 +11,36 @@ For each ``BENCH_interp`` workload it interleaves two variants:
 * **hooked** — the shipped path: :func:`repro.machine.run_module` with
   the process tracer disabled (its per-run hook reduces to one
   attribute check) and no sampler (one ``is None`` test per run);
-* **detached** — the identical run driven without the observability
-  layer at all: the interpreter's dispatch loop replicated inline
-  (``Machine`` + raw superblock loop + ``RunResult`` assembly), with
-  neither the tracer branch nor the sampler branch present.
+* **detached** — the identical run driven below the observability
+  layer: ``Machine`` + :meth:`Cpu.run` + ``RunResult`` assembly, with
+  no tracer branch and no ``run_module`` wrapper.
 
-Since PC sampling lives behind a single ``sampler is None`` check in
-:meth:`Cpu.run`, this comparison also enforces the profiler's
-zero-cost-when-off contract — the check-profile CI lane runs this
-module for exactly that reason.
+Both variants run the same :meth:`Cpu.run` dispatch loop, so the budget
+measures exactly what the observability layer adds around it.  PC
+sampling costs one ``sampler is None`` test at the top of
+:meth:`Cpu.run`, once per run, on both sides.
 
-Throughput is best-of-N per variant; the run fails when the hooked
-path's insts/sec falls more than ``--budget`` (default 2%) below the
-detached path on any workload.  The committed ``BENCH_interp.json``
-baseline, when present, is reported alongside — and enforced at the
-same budget with ``--strict`` (for same-machine regression gating; the
-default stays off because wall-clock numbers do not transfer between
-hosts).
+Throughput is best-of-N per variant, timed with the garbage collector
+off so a collection landing in one variant's rep cannot decide the
+comparison; the run fails when the hooked path's insts/sec falls more
+than ``--budget`` (default 2%) below the detached path on any
+workload.  The committed ``BENCH_interp.json`` baseline, when present,
+is reported alongside — and enforced at the same budget with
+``--strict`` (for same-machine regression gating; the default stays
+off because wall-clock numbers do not transfer between hosts).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
 from pathlib import Path
 
 from ..machine import run_module
-from ..machine.loader import Machine, RunResult
+from ..machine.loader import Machine
 from ..workloads import WORKLOAD_NAMES, build_workload
 from . import TRACE
 
@@ -55,60 +56,31 @@ def _run_hooked(module) -> int:
 
 
 def _run_detached(module) -> int:
-    """The pre-observability run path, byte for byte.
-
-    Inlines the interpreter loop from :meth:`Cpu.run` *without* the
-    ``sampler is None`` entry check, so the measured baseline carries
-    zero observability residue: any cost the shipped loop pays for
-    being sampleable shows up as hooked-vs-detached overhead.
-    """
-    from ..machine.cpu import BudgetExhausted
-    from ..machine.syscalls import ExitProgram
-
+    """The same run below the observability layer: load, then
+    :meth:`Cpu.run` and the result, without ``run_module``'s or
+    ``Machine.run``'s tracer check."""
     machine = Machine(module)
-    cpu = machine.cpu
-    index = cpu._index_of(module.entry)
-    dispatch = cpu._dispatch
-    code = cpu._code
-    stats = cpu.stats
-    cpu._jit_limit[0] = _MAX_INSTS
-    fused_safe = _MAX_INSTS - cpu._max_fused
-    try:
-        while stats[1] <= fused_safe:
-            index = dispatch[index]()
-        while True:
-            if stats[1] >= _MAX_INSTS:
-                raise BudgetExhausted("instruction budget exhausted",
-                                      cpu.text_base + 4 * index)
-            index = code[index]()
-    except ExitProgram as exc:
-        status = exc.status
-    result = RunResult(
-        status=status,
-        stdout=bytes(machine.kernel.stdout),
-        stderr=bytes(machine.kernel.stderr),
-        files={k: bytes(v) for k, v in machine.kernel.files.items()},
-        cycles=machine.cpu.cycles,
-        inst_count=machine.cpu.inst_count,
-        heap_base=machine.heap_base,
-        initial_sp=machine.initial_sp,
-    )
-    return result.inst_count
+    status = machine.cpu.run(module.entry, max_insts=_MAX_INSTS)
+    return machine._result(status).inst_count
 
 
 def measure_workload(name: str, reps: int = 5) -> dict:
     """Best-of-N insts/sec for both variants, reps interleaved so clock
     drift and cache warmth hit both equally."""
     module = build_workload(name)
-    insts = _run_hooked(module)          # warmup (lazy superblock JIT)
+    insts = _run_hooked(module)          # warmup (superblock compiles)
     _run_detached(module)
     best = {"hooked": None, "detached": None}
     for _ in range(max(1, reps)):
         for label, fn in (("hooked", _run_hooked),
                           ("detached", _run_detached)):
-            t0 = time.perf_counter()
-            fn(module)
-            elapsed = time.perf_counter() - t0
+            gc.disable()
+            try:
+                t0 = time.perf_counter()
+                fn(module)
+                elapsed = time.perf_counter() - t0
+            finally:
+                gc.enable()
             if best[label] is None or elapsed < best[label]:
                 best[label] = elapsed
     hooked_ips = insts / best["hooked"]
@@ -161,7 +133,7 @@ def _baseline_ips() -> dict[str, int]:
         return {}
     if not report:
         return {}
-    return {name: row.get("jit_ips") or row["fused_ips"]
+    return {name: row["fused_ips"]
             for name, row in report["interpreter"].items()}
 
 

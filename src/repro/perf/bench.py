@@ -2,11 +2,10 @@
 
 Three sections, one JSON report:
 
-* ``interpreter`` — for each workload, an A/B/C of the region JIT, the
-  superblock-fused dispatch, and the plain per-instruction loop.
-  Architectural state (cycles, instruction count, exit status, stdout)
-  is asserted bit-identical between the three before any number is
-  reported.
+* ``interpreter`` — for each workload, an A/B of the superblock-fused
+  dispatch and the plain per-instruction loop.  Architectural state
+  (cycles, instruction count, exit status, stdout) is asserted
+  bit-identical between the two before any number is reported.
 * ``tools`` — for each (workload, tool, opt-level) cell, simulated
   cycles and wall-clock throughput of the uninstrumented and
   instrumented executables — the measured version of the paper's
@@ -39,11 +38,9 @@ from ..obs import TRACE, trace_path_from_env
 from ..tools import TOOL_NAMES
 from ..workloads import WORKLOAD_NAMES, build_workload
 
-BENCH_SCHEMA = "repro-bench-interp/v4"
-#: Older schemas ``validate_report`` still accepts (reports written by
-#: previous revisions remain comparable baselines).
-ACCEPTED_SCHEMAS = ("repro-bench-interp/v1", "repro-bench-interp/v2",
-                    "repro-bench-interp/v3", BENCH_SCHEMA)
+#: The one report schema ``validate_report`` accepts.  v5 is v4
+#: without the region-JIT columns of the interpreter section.
+BENCH_SCHEMA = "repro-bench-interp/v5"
 
 #: Compact default matrix: enough signal to regress against without the
 #: full 20x11x5 sweep (use --all for that).
@@ -73,15 +70,15 @@ def default_report_path() -> Path:
     return Path(__file__).resolve().parents[3] / "BENCH_interp.json"
 
 
-def _best_wall(module, *, fuse: bool, jit: bool, reps: int,
+def _best_wall(module, *, fuse: bool, reps: int,
                max_insts=2_000_000_000):
     """(RunResult, best wall seconds) over ``reps`` timed runs + 1 warmup."""
-    result = run_module(module, fuse=fuse, jit=jit,
+    result = run_module(module, fuse=fuse,
                         max_insts=max_insts)             # warmup
     best = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        result = run_module(module, fuse=fuse, jit=jit,
+        result = run_module(module, fuse=fuse,
                             max_insts=max_insts)
         elapsed = time.perf_counter() - t0
         best = elapsed if best is None else min(best, elapsed)
@@ -89,34 +86,27 @@ def _best_wall(module, *, fuse: bool, jit: bool, reps: int,
 
 
 def measure_interpreter(workloads, reps: int = 3) -> dict:
-    """Three-way jit/fused/simple dispatch A/B/C; asserts bit-identical
-    state before any number is reported."""
+    """Fused/simple dispatch A/B; asserts bit-identical state before
+    any number is reported."""
     out = {}
     for name in workloads:
         module = build_workload(name)
-        jitted, jit_s = _best_wall(module, fuse=True, jit=True, reps=reps)
-        fused, fused_s = _best_wall(module, fuse=True, jit=False,
-                                    reps=reps)
-        simple, simple_s = _best_wall(module, fuse=False, jit=False,
-                                      reps=reps)
+        fused, fused_s = _best_wall(module, fuse=True, reps=reps)
+        simple, simple_s = _best_wall(module, fuse=False, reps=reps)
         state = ("cycles", "inst_count", "status", "stdout")
         for field in state:
-            if not (getattr(jitted, field) == getattr(fused, field)
-                    == getattr(simple, field)):
+            if getattr(fused, field) != getattr(simple, field):
                 raise AssertionError(
-                    f"{name}: jit, fused and per-instruction runs "
+                    f"{name}: fused and per-instruction runs "
                     f"diverge on {field}")
-        jit_ips = jitted.inst_count / jit_s
         fused_ips = fused.inst_count / fused_s
         simple_ips = simple.inst_count / simple_s
         out[name] = {
             "insts": fused.inst_count,
             "cycles": fused.cycles,
-            "jit_ips": round(jit_ips),
             "fused_ips": round(fused_ips),
             "simple_ips": round(simple_ips),
             "speedup": round(fused_ips / simple_ips, 3),
-            "jit_speedup": round(jit_ips / fused_ips, 3),
         }
     return out
 
@@ -325,28 +315,23 @@ def validate_report(report: dict) -> None:
             raise ValueError(f"bad bench report: {what}")
 
     need(isinstance(report, dict), "not an object")
-    need(report.get("schema") in ACCEPTED_SCHEMAS,
-         f"schema not one of {ACCEPTED_SCHEMAS}")
+    need(report.get("schema") == BENCH_SCHEMA,
+         f"schema is not {BENCH_SCHEMA!r}")
     for key in ("created", "host", "config", "interpreter", "tools"):
         need(key in report, f"missing key {key!r}")
-    if report["schema"] == BENCH_SCHEMA:
-        # v2 adds the aggregated overhead table; v1 reports lack it.
-        need(isinstance(report.get("overhead"), dict),
-             "v2 report missing overhead table")
-        for tool, per_opt in report["overhead"].items():
-            for opt, cell in per_opt.items():
-                for key in ("base_cycles", "instr_cycles", "excess_cycles",
-                            "cycle_overhead", "inst_overhead"):
-                    need(key in cell,
-                         f"overhead[{tool!r}][{opt!r}] missing {key!r}")
+    need(isinstance(report.get("overhead"), dict),
+         "report missing overhead table")
+    for tool, per_opt in report["overhead"].items():
+        for opt, cell in per_opt.items():
+            for key in ("base_cycles", "instr_cycles", "excess_cycles",
+                        "cycle_overhead", "inst_overhead"):
+                need(key in cell,
+                     f"overhead[{tool!r}][{opt!r}] missing {key!r}")
     need(isinstance(report["interpreter"], dict) and report["interpreter"],
          "empty interpreter section")
-    interp_keys = ["insts", "cycles", "fused_ips", "simple_ips", "speedup"]
-    if report["schema"] == BENCH_SCHEMA:
-        # v3 adds the region-JIT column to the interpreter section.
-        interp_keys += ["jit_ips", "jit_speedup"]
     for name, row in report["interpreter"].items():
-        for key in interp_keys:
+        for key in ("insts", "cycles", "fused_ips", "simple_ips",
+                    "speedup"):
             need(key in row, f"interpreter[{name!r}] missing {key!r}")
             need(isinstance(row[key], (int, float)) and row[key] > 0,
                  f"interpreter[{name!r}][{key!r}] not positive")
@@ -357,9 +342,9 @@ def validate_report(report: dict) -> None:
                     "instr_insts", "base_ips", "instr_ips"):
             need(key in row, f"tools[{i}] missing {key!r}")
     if "serve" in report:
-        # v4 adds the daemon throughput section (optional: --no-serve
-        # smoke runs omit it; the committed baseline must carry it — a
-        # tier-1 test pins that).
+        # The daemon throughput section is optional (--no-serve smoke
+        # runs omit it); the committed baseline must carry it — a
+        # tier-1 test pins that.
         serve = report["serve"]
         need(isinstance(serve, dict), "serve section not an object")
         for key in ("workload", "requests", "cold_rps", "warm_rps",
@@ -392,8 +377,8 @@ def compare_reports(old: dict, new: dict,
       ``EXCESS_CYCLE_FLOOR`` cycles so near-zero baselines don't turn
       tiny absolute growth into gate failures); brand-new cells are
       never regressions.
-    * **interpreter throughput** (wall clock): fused and jit insts/sec
-      may not drop by more than ``ips_threshold`` — but only when both
+    * **interpreter throughput** (wall clock): fused insts/sec may not
+      drop by more than ``ips_threshold`` — but only when both
       reports come from the same host class, since insts/sec on
       different machines is noise, not signal.  The wider default
       tolerance reflects that even same-host wall clock moves with
@@ -429,15 +414,11 @@ def compare_reports(old: dict, new: dict,
             base = old.get("interpreter", {}).get(name)
             if base is None:
                 continue
-            for col, label in (("fused_ips", "fused"),
-                               ("jit_ips", "jit")):
-                if col not in base or col not in row:
-                    continue      # jit column only exists from v3 on
-                if row[col] < base[col] * (1.0 - ips_threshold):
-                    regressions.append(
-                        f"interpreter {name}: {label} insts/s "
-                        f"{base[col]:,} -> {row[col]:,} "
-                        f"(limit -{100.0 * ips_threshold:.0f}%)")
+            if row["fused_ips"] < base["fused_ips"] * (1.0 - ips_threshold):
+                regressions.append(
+                    f"interpreter {name}: fused insts/s "
+                    f"{base['fused_ips']:,} -> {row['fused_ips']:,} "
+                    f"(limit -{100.0 * ips_threshold:.0f}%)")
         old_serve, new_serve = old.get("serve"), new.get("serve")
         if old_serve and new_serve:
             # Same wall-clock caveat as the interpreter legs: this
@@ -576,9 +557,7 @@ def main(argv=None) -> int:
 
     print(f"wrote {args.out}")
     for name, row in report["interpreter"].items():
-        print(f"  {name}: jit {row['jit_ips']:,} insts/s "
-              f"({row['jit_speedup']}x fused), "
-              f"fused {row['fused_ips']:,} insts/s, "
+        print(f"  {name}: fused {row['fused_ips']:,} insts/s, "
               f"simple {row['simple_ips']:,} insts/s "
               f"({row['speedup']}x)")
     for row in report["tools"]:

@@ -127,12 +127,9 @@ def _check_v1_compat(sock_path, exe: bytes, max_insts: int) -> list[dict]:
     """v1 clients (no ``trace_id``) must get byte-identical terminal
     frames to v2 clients for the same request — the trace context may
     ride only on heartbeats and in the trace, never in results."""
-    # jit=False keeps the reply fully repeatable: JIT code-cache
-    # counters depend on warm-worker history (hits vs compiles).
     base = {"op": "run", "id": "v1compat",
             "exe": base64.b64encode(exe).decode(),
-            "args": [], "max_insts": max_insts,
-            "fuse": True, "jit": False}
+            "args": [], "max_insts": max_insts, "fuse": True}
     v1_frame = _raw_terminal_frame(sock_path, dict(base))
     v2_frame = _raw_terminal_frame(
         sock_path, dict(base, trace_id="checkserve-v2"))

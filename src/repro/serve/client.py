@@ -36,7 +36,6 @@ class RunReply:
     files: dict[str, bytes] | None = None
     cycles: int = 0
     insts: int = 0
-    jit_stats: dict[str, int] | None = None
 
 
 class ServeClient:
@@ -139,13 +138,13 @@ class ServeClient:
 
     def run_exe(self, exe: bytes, *, args=(), stdin: bytes = b"",
                 max_insts: int = 500_000_000, fuse: bool = True,
-                jit: bool = True, tenant: str | None = None,
+                tenant: str | None = None,
                 on_heartbeat=None, trace_id: str | None = None) -> RunReply:
         """Run an executable uninstrumented — the wrl-run hot path."""
         request = {"op": "run",
                    "exe": base64.b64encode(exe).decode(),
                    "args": list(args), "max_insts": max_insts,
-                   "fuse": fuse, "jit": jit}
+                   "fuse": fuse}
         if stdin:
             request["stdin"] = base64.b64encode(stdin).decode()
         if tenant is not None:
@@ -167,5 +166,4 @@ class ServeClient:
                    for name, data in sorted(
                        (payload.get("files") or {}).items())},
             cycles=int(payload.get("cycles", 0)),
-            insts=int(payload.get("insts", 0)),
-            jit_stats=payload.get("jit_stats"))
+            insts=int(payload.get("insts", 0)))

@@ -104,7 +104,7 @@ def _execute_eval_batch(items, fuse: bool, trace: bool = False) -> list[dict]:
 
 
 def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
-                 max_insts: int, fuse: bool, jit: bool,
+                 max_insts: int, fuse: bool,
                  trace: bool = False, trace_id: str | None = None) -> dict:
     """One uninstrumented execution — the daemon half of ``wrl-run``.
 
@@ -126,7 +126,7 @@ def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
             module = Module.from_bytes(exe)
             result = runner.run_uninstrumented(
                 module, args=args, stdin=stdin, max_insts=max_insts,
-                fuse=fuse, jit=jit)
+                fuse=fuse)
         except EvalTimeout as exc:
             reply = {"timeout": True, "message": str(exc)}
         except (MachineError, ObjError) as exc:
@@ -141,7 +141,6 @@ def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
                           for name, data in sorted(result.files.items())},
                 "cycles": result.cycles,
                 "insts": result.inst_count,
-                "jit_stats": result.jit_stats,
             }
     finally:
         runner.set_trace_id(prev_id)
@@ -574,15 +573,11 @@ class Daemon:
                 raise ProtocolError("bad-request",
                                     "max_insts must be a positive "
                                     "integer")
-            jit = req.get("jit", True)
-            if not isinstance(jit, bool):
-                raise ProtocolError("bad-request",
-                                    "jit must be a boolean")
             args = tuple(args)
             key = run_dedup_key(exe_bytes, args, stdin, max_insts,
-                                fuse, jit, tenant)
+                                fuse, tenant)
             label = "run:" + hashlib.sha256(exe_bytes).hexdigest()[:12]
-            payload = (exe_bytes, args, stdin, max_insts, fuse, jit)
+            payload = (exe_bytes, args, stdin, max_insts, fuse)
 
         entry = self._inflight.get(key)
         if entry is not None:

@@ -20,7 +20,7 @@ Requests::
      "retries": 1, "spec": {"tool": "prof", "workload": "fib", ...}}
     {"op": "run", "id": "...", "tenant": "t", "exe": "<base64 WOF>",
      "args": [...], "stdin": "<base64>", "max_insts": N,
-     "fuse": true, "jit": true}
+     "fuse": true}
     {"op": "stats"} | {"op": "metrics"} | {"op": "ping"}
     {"op": "shutdown"}
 
@@ -254,14 +254,13 @@ def eval_dedup_key(spec: TaskSpec, tenant: str, fuse: bool,
 
 
 def run_dedup_key(exe: bytes, args: tuple[str, ...], stdin: bytes,
-                  max_insts: int, fuse: bool, jit: bool,
-                  tenant: str) -> str:
+                  max_insts: int, fuse: bool, tenant: str) -> str:
     """Identity of a run request: the exe-hash, not the exe bytes."""
     return _canon({"op": "run", "tenant": tenant,
                    "exe": hashlib.sha256(exe).hexdigest(),
                    "args": list(args),
                    "stdin": hashlib.sha256(stdin).hexdigest(),
-                   "max_insts": max_insts, "fuse": fuse, "jit": jit})
+                   "max_insts": max_insts, "fuse": fuse})
 
 
 def server_path_from_env() -> str | None:

@@ -1,17 +1,19 @@
-"""The jit on/off differential lane over real compiled programs.
+"""The fused-vs-simple dispatch differential lane over real compiled
+programs.
 
-The region JIT promises to be architecturally invisible end to end:
+Fused dispatch promises to be architecturally invisible end to end:
 whatever the mlc compiler emits, whatever a tool splices in at any opt
-level, and whatever the deterministic profiler observes, a run with the
-JIT engaged must be byte-identical to the same run without it — exit
-status, stdout, output files, ``InstrumentStats``, simulated cycles and
-``wrl-profile/v1`` artifacts alike.  Hypothesis widens the analysis-
-routine population beyond the hand-written tools.
+level, and whatever the deterministic profiler observes, a run on fused
+superblocks must be byte-identical to the same run on the plain
+per-instruction loop — exit status, stdout, output files,
+``InstrumentStats``, simulated cycles and ``wrl-profile/v1`` artifacts
+alike.  Hypothesis widens the analysis-routine population beyond the
+hand-written tools.
 
-The tier-up budgets are lowered (the ``early_tiers`` fixture) so these
-short programs reach both compiled tiers, and every comparison checks
-that the jit run promoted a region and the fused run compiled a
-superblock — otherwise "jit vs no-jit" would compare fused with fused.
+The tier-up budget is lowered (the ``early_tiers`` fixture) so these
+short programs reach the compiled tier, and every comparison checks
+that the fused run compiled a superblock — otherwise "fused vs simple"
+would compare the per-instruction walk with itself.
 """
 
 import json
@@ -27,10 +29,10 @@ from repro.obs.runtime import PcSampler, profile_doc
 
 from ..atom.test_o4_hypothesis import analysis_bodies, analysis_source
 
-pytestmark = [pytest.mark.jit, pytest.mark.usefixtures("early_tiers")]
+pytestmark = pytest.mark.usefixtures("early_tiers")
 
-#: mlc-compiled example programs: loops hot enough to promote regions,
-#: function calls (dynamic re-entry), arrays, strings and file output.
+#: mlc-compiled example programs: hot loops, function calls (dynamic
+#: re-entry), arrays, strings and file output.
 EXAMPLE_PROGRAMS = {
     "checksum": r"""
 int step(int acc, int v) { return (acc * 33 + v) & 0xFFFFFF; }
@@ -89,23 +91,22 @@ def observable(result) -> tuple:
             dict(result.files), result.cycles, result.inst_count)
 
 
-def run_tier(module, jit: bool, sampler=None):
-    """Run ``module`` fused with the JIT on or off; the run must have
-    compiled its tier: a region with the JIT, a superblock without."""
-    machine = Machine(module, jit=jit)
+def run_tier(module, fuse: bool, sampler=None):
+    """Run ``module`` fused or on the per-instruction loop; a fused run
+    must have compiled a superblock."""
+    machine = Machine(module, fuse=fuse)
     result = machine.run(sampler=sampler)
-    cpu = machine.cpu
-    compiled = cpu.jit.promoted if jit else cpu.sb_compiled
-    assert compiled >= 1, f"the jit={jit} run compiled nothing"
+    if fuse:
+        assert machine.cpu.sb_compiled >= 1, "the fused run compiled nothing"
     return result
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLE_PROGRAMS))
 def test_mlc_programs_bit_identical(name):
     exe = example(name)
-    on = run_tier(exe, jit=True)
-    off = run_tier(exe, jit=False)
-    assert observable(on) == observable(off)
+    fused = run_tier(exe, fuse=True)
+    simple = run_tier(exe, fuse=False)
+    assert observable(fused) == observable(simple)
 
 
 COUNTER_TOOL_ANALYSIS = r"""
@@ -132,12 +133,12 @@ def test_instrumented_runs_bit_identical(opt):
     exe = example("checksum")
     res = instrument_executable(exe, counter_tool,
                                 COUNTER_TOOL_ANALYSIS, opt=opt)
-    on = run_tier(res.module, jit=True)
-    off = run_tier(res.module, jit=False)
-    assert observable(on) == observable(off)
-    assert on.files["calls.out"] == off.files["calls.out"]
-    # The instrumenter never sees the JIT, but pin its stats so any
-    # future coupling of splicing to the execution tier shows up here.
+    fused = run_tier(res.module, fuse=True)
+    simple = run_tier(res.module, fuse=False)
+    assert observable(fused) == observable(simple)
+    assert fused.files["calls.out"] == simple.files["calls.out"]
+    # The instrumenter never sees the dispatch tier, but pin its stats
+    # so any future coupling of splicing to execution shows up here.
     res2 = instrument_executable(exe, counter_tool,
                                  COUNTER_TOOL_ANALYSIS, opt=opt)
     assert res.stats == res2.stats
@@ -147,24 +148,24 @@ def test_instrumented_runs_bit_identical(opt):
 def test_profile_artifacts_byte_identical(name):
     exe = example(name)
     docs = {}
-    for jit in (True, False):
+    for fuse in (True, False):
         sampler = PcSampler(interval=97)
-        run_tier(exe, jit=jit, sampler=sampler)
-        docs[jit] = json.dumps(profile_doc(sampler, exe), sort_keys=True)
+        run_tier(exe, fuse=fuse, sampler=sampler)
+        docs[fuse] = json.dumps(profile_doc(sampler, exe), sort_keys=True)
     assert docs[True] == docs[False]
     assert '"wrl-profile/v1"' in docs[True]
 
 
-def test_instrumented_profile_identical_across_jit():
+def test_instrumented_profile_identical_across_dispatch():
     exe = example("checksum")
     res = instrument_executable(exe, counter_tool,
                                 COUNTER_TOOL_ANALYSIS, opt=OptLevel.O4)
     docs = {}
-    for jit in (True, False):
+    for fuse in (True, False):
         sampler = PcSampler(interval=131)
-        run_tier(res.module, jit=jit, sampler=sampler)
-        docs[jit] = json.dumps(profile_doc(sampler, res.module),
-                               sort_keys=True)
+        run_tier(res.module, fuse=fuse, sampler=sampler)
+        docs[fuse] = json.dumps(profile_doc(sampler, res.module),
+                                sort_keys=True)
     assert docs[True] == docs[False]
 
 
@@ -180,11 +181,11 @@ def hypo_tool(iargc, iargv, atom):
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.function_scoped_fixture])
 @given(body=analysis_bodies())
-def test_random_analysis_routines_identical_across_jit(body):
+def test_random_analysis_routines_identical_across_dispatch(body):
     exe = example("checksum")
     anal = build_analysis_unit([analysis_source(body)])
     res = instrument_executable(exe, hypo_tool, anal, opt=OptLevel.O4)
-    on = run_tier(res.module, jit=True)
-    off = run_tier(res.module, jit=False)
-    assert observable(on) == observable(off)
-    assert on.files["sound.out"] == off.files["sound.out"]
+    fused = run_tier(res.module, fuse=True)
+    simple = run_tier(res.module, fuse=False)
+    assert observable(fused) == observable(simple)
+    assert fused.files["sound.out"] == simple.files["sound.out"]

@@ -91,3 +91,23 @@ def test_apply_tool_decodes_analysis_unit_once(monkeypatch):
     monkeypatch.setattr(Module, "from_bytes", classmethod(counting))
     apply_tool(app, tool, cache=None)
     assert len(decoded) == 1
+
+
+def test_runners_accept_and_ignore_jit():
+    """perfbench/fig5.py passes ``jit=False`` to both runners; the
+    keyword outlived the region tier and must keep changing nothing."""
+    app = build_workload("fib")
+    res = apply_tool(app, get_tool("prof"))
+    assert run_uninstrumented(app, args=("10",), jit=False) == \
+        run_uninstrumented(app, args=("10",))
+    assert run_instrumented(res, args=("10",), jit=False) == \
+        run_instrumented(res, args=("10",))
+
+
+def test_run_result_jit_stats_is_always_none():
+    """perfbench/fig6.py's traced mode reads ``RunResult.jit_stats`` and
+    reports 0 for every ``machine.jit_*`` counter when it is None."""
+    app = build_workload("fib")
+    res = apply_tool(app, get_tool("prof"))
+    assert run_uninstrumented(app, args=("10",)).jit_stats is None
+    assert run_instrumented(res, args=("10",)).jit_stats is None

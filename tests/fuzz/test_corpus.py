@@ -36,15 +36,13 @@ def test_corpus_matches_generator_byte_for_byte():
 @pytest.mark.fuzz
 @pytest.mark.parametrize("path", CORPUS_FILES, ids=lambda p: p.stem)
 def test_corpus_base_dispatch_identity(path):
-    """Every corpus program, uninstrumented: all three dispatch tiers
+    """Every corpus program, uninstrumented: both dispatch tiers
     byte-identical including the sampled profile document, with the
-    jit cell running compiled regions and the fused cell compiled
-    superblocks."""
+    fused cell running compiled superblocks."""
     report = check_program(path.read_text(),
                            seed=int(path.stem.split("_")[1]),
                            tools=())
     assert report.ok, [d.describe() for d in report.divergences]
-    assert report.tiers["jit"]["regions"] >= 1
     assert report.tiers["fused"]["superblocks"] >= 1
 
 
@@ -58,5 +56,4 @@ def test_corpus_instrumented_differential(path):
                            seed=int(path.stem.split("_")[1]),
                            tools=("prof",), opts=("O0", "O4"))
     assert report.ok, [d.describe() for d in report.divergences]
-    assert report.tiers["jit"]["regions"] >= 1
     assert report.tiers["fused"]["superblocks"] >= 1

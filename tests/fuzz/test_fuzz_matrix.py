@@ -26,7 +26,7 @@ int main() {
 
 def test_fingerprint_shape():
     exe = build_executable([generate_program(0, profile_for(0))])
-    fp = _fingerprint(exe, fuse=True, jit=True, max_insts=5_000_000,
+    fp = _fingerprint(exe, fuse=True, max_insts=5_000_000,
                       sample_interval=97)
     assert set(fp) == {"status", "stdout", "stderr", "files", "cycles",
                        "inst_count", "profile"}
@@ -41,19 +41,19 @@ def test_fingerprint_captures_faults_identically():
     and it must be the *same* fault in every dispatch tier."""
     exe = build_executable([FAULTING_PROGRAM])
     fps = {}
-    for name, (fuse, jit) in DISPATCH.items():
-        fps[name] = _fingerprint(exe, fuse=fuse, jit=jit,
+    for name, fuse in DISPATCH.items():
+        fps[name] = _fingerprint(exe, fuse=fuse,
                                  max_insts=5_000_000, sample_interval=None)
     assert "error" in fps["simple"]
     assert "MachineError" in fps["simple"]["error"]
-    assert _canon(fps["simple"]) == _canon(fps["fused"]) == _canon(fps["jit"])
+    assert _canon(fps["simple"]) == _canon(fps["fused"])
 
 
 def test_fingerprint_budget_exhaustion_is_deterministic():
     exe = build_executable([generate_program(0, profile_for(0))])
-    fps = [_fingerprint(exe, fuse=fuse, jit=jit, max_insts=2_000,
+    fps = [_fingerprint(exe, fuse=fuse, max_insts=2_000,
                         sample_interval=None)
-           for fuse, jit in DISPATCH.values()]
+           for fuse in DISPATCH.values()]
     assert "BudgetExhausted" in fps[0]["error"]
     assert len({_canon(fp) for fp in fps}) == 1
 
@@ -75,17 +75,16 @@ def test_check_program_smoke():
                            tools=("prof",), opts=("O0", "O4"))
     assert report.ok, [d.describe() for d in report.divergences]
     assert report.seconds > 0
-    # The fused and jit cells run with lowered tier-up budgets, so they
-    # compare compiled superblocks and regions, not the cold walk.
-    assert report.tiers["simple"] == {"superblocks": 0, "regions": 0}
+    # The fused cells run with a lowered tier-up budget, so they compare
+    # compiled superblocks, not the cold walk.
+    assert report.tiers["simple"] == {"superblocks": 0}
     assert report.tiers["fused"]["superblocks"] >= 1
-    assert report.tiers["fused"]["regions"] == 0
-    assert report.tiers["jit"]["regions"] >= 1
 
 
 def test_cli_report_records_tiers_per_column(tmp_path, capsys):
     """``fuzz_report.json`` carries what each dispatch column compiled;
-    ``make check-fuzz`` fails when the jit column compiled no region."""
+    ``make check-fuzz`` fails when the fused column compiled no
+    superblock."""
     assert main(["--seed", "0", "--count", "1", "--tools", "prof",
                  "--opts", "O0", "--jobs", "0", "--out",
                  str(tmp_path)]) == 0
@@ -93,7 +92,7 @@ def test_cli_report_records_tiers_per_column(tmp_path, capsys):
     assert doc["programs"] == 1
     assert doc["per_program"][0]["tiers"] == doc["tiers"]
     assert set(doc["tiers"]) == set(DISPATCH)
-    assert doc["tiers"]["jit"]["regions"] >= 1
+    assert doc["tiers"]["fused"]["superblocks"] >= 1
     assert "compiled: fused" in capsys.readouterr().out
 
 

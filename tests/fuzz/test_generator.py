@@ -47,11 +47,11 @@ def test_programs_compile_and_terminate():
     for seed in SMOKE_SEEDS:
         src = generate_program(seed, profile_for(seed))
         exe = build_executable([src])
-        result = run_module(exe, max_insts=5_000_000, fuse=False, jit=False)
+        result = run_module(exe, max_insts=5_000_000, fuse=False)
         assert 0 <= result.status < 64          # main returns CHK & 63
         assert result.stdout.startswith(b"chk=")
-        # bounded: big enough to promote JIT regions, small enough that
-        # a full instrumented matrix stays affordable
+        # bounded: big enough to run fused superblocks hot, small
+        # enough that a full instrumented matrix stays affordable
         assert 1_000 < result.inst_count < 100_000
 
 

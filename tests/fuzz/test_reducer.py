@@ -1,15 +1,15 @@
 """The structural reducer, and the end-to-end divergence-to-repro path.
 
-The marquee test injects a real codegen fault into the region JIT
-(xor results corrupted inside compiled regions only), lets the harness
-catch the divergence, and requires the reducer to shrink the fuzzed
-program to a handful of lines that still reproduce it — the workflow a
-human debugging a genuine miscompile would follow.
+The marquee test injects a real codegen fault into the fused superblock
+templates (xor results corrupted inside compiled superblocks only), lets
+the harness catch the divergence, and requires the reducer to shrink
+the fuzzed program to a handful of lines that still reproduce it — the
+workflow a human debugging a genuine miscompile would follow.
 """
 
 import pytest
 
-import repro.machine.jit as jitmod
+import repro.machine.cpu as cpumod
 from repro.eval.fuzz_matrix import (check_program, divergence_predicate,
                                     reduce_divergence)
 from repro.mlc import build_executable
@@ -75,35 +75,36 @@ def test_reduce_unwraps_compound_statements():
 
 
 @pytest.fixture
-def broken_jit_xor(monkeypatch):
-    """Corrupt every xor result inside JIT-compiled regions only."""
-    orig = jitmod._gen_inst_jit
+def broken_fused_xor(monkeypatch):
+    """Corrupt every xor result inside fused superblocks only."""
+    orig = cpumod._gen_inst
 
-    def sabotaged(inst, pc, slot):
-        lines, traps = orig(inst, pc, slot)
-        if getattr(inst, "mnemonic", None) == "xor" and inst.rc != 31:
-            lines = list(lines) + [f"g{inst.rc} = g{inst.rc} ^ 2"]
+    def sabotaged(inst, pc):
+        lines, traps = orig(inst, pc)
+        if inst.op.mnemonic == "xor" and inst.rc != 31:
+            lines = list(lines) + [f"r[{inst.rc}] = r[{inst.rc}] ^ 2"]
         return lines, traps
 
-    monkeypatch.setattr(jitmod, "_gen_inst_jit", sabotaged)
+    monkeypatch.setattr(cpumod, "_gen_inst", sabotaged)
 
 
 @pytest.mark.fuzz
-def test_injected_jit_fault_is_caught_and_reduced(broken_jit_xor):
+def test_injected_fused_fault_is_caught_and_reduced(broken_fused_xor):
     src = generate_program(0, profile_for(0))
     report = check_program(src, seed=0, tools=("prof",), opts=("O0",),
                            stop_on_first=True)
     assert not report.ok
     div = report.divergences[0]
     assert div.kind == "dispatch"
-    assert div.cell_b == "jit"
+    assert div.cell_b == "fused"
 
     reduced = reduce_divergence(src, div)
     assert len(reduced.splitlines()) <= 20      # acceptance bar
     # the reduced program still reproduces the divergence on its own
     assert divergence_predicate(div)(reduced)
     # ... and is healthy once the sabotage is gone (the fault is in the
-    # JIT, not the program): checked by the matrix smoke test elsewhere.
+    # fused templates, not the program): checked by the matrix smoke
+    # test elsewhere.
 
 
 @pytest.mark.fuzz

@@ -6,10 +6,9 @@ execution, and every superblock head's ``_dispatch`` slot is a stub that
 installs the head's tier-up counter on first dispatch.  These tests pin
 down that nothing is built at load, that what gets built is exactly what
 executes, and that building it late changes no architectural state and
-no JIT counter: each lazy run is compared with the same machine forced
-into the old eager shape.  The tier-up budgets are lowered (the
-``early_tiers`` fixture) so the short loops here reach both compiled
-tiers.
+no fusion counter: each lazy run is compared with the same machine
+forced into the old eager shape.  The tier-up budget is lowered (the
+``early_tiers`` fixture) so the short loops here reach the fused tier.
 """
 
 from types import MethodType
@@ -23,19 +22,18 @@ from repro.isa.asm import assemble
 from repro.isa.encoding import EncodingError
 from repro.isa.instruction import Instruction
 from repro.machine import cpu as cpu_mod
-from repro.machine import jit as jit_mod
 from repro.machine.cpu import BudgetExhausted
-from repro.machine.jit import MAX_BLOCKS
 from repro.machine.loader import Machine
 from repro.objfile.linker import link
 from repro.obs.runtime import PcSampler
 from repro.tools import get_tool
 from repro.workloads import build_workload
 
-pytestmark = [pytest.mark.jit, pytest.mark.usefixtures("early_tiers")]
+pytestmark = pytest.mark.usefixtures("early_tiers")
 
-MODES = ((True, True), (True, False), (False, False))
-#: Loop iterations: far past promotion under the lowered budgets.
+#: Dispatch modes: fused, and the plain per-instruction loop.
+MODES = (True, False)
+#: Loop iterations: far past fusion under the lowered budget.
 HOT = 128
 
 
@@ -86,10 +84,9 @@ def make_eager(machine: Machine) -> Machine:
 
 def outcome(machine: Machine, **run_kw):
     """Everything a run leaves behind, counters included.  The shared
-    code-object caches start empty, so compile-vs-hit counts compare
+    code-object cache starts empty, so compile-vs-hit counts compare
     across machines too."""
     cpu_mod._SB_CACHE.clear()
-    jit_mod._JIT_CACHE.clear()
     cpu = machine.cpu
     try:
         result = machine.run(**run_kw)
@@ -97,20 +94,19 @@ def outcome(machine: Machine, **run_kw):
                result.inst_count)
     except Exception as exc:             # faults are outcomes too
         ran = (type(exc).__name__, str(exc), getattr(exc, "pc", None))
-    return (ran, machine_state(machine), cpu.jit_stats(), cpu.sb_runs,
-            cpu.sb_compiled, cpu.sb_cache_hits)
+    return (ran, machine_state(machine), cpu.sb_runs, cpu.sb_compiled,
+            cpu.sb_cache_hits)
 
 
 def assert_lazy_matches_eager(module, modes=MODES, **run_kw):
-    """Lazy == eager in every mode, and the three modes agree on
+    """Lazy == eager in every mode, and the modes agree on
     architectural state."""
     states = {}
-    for fuse, jit in modes:
-        lazy = outcome(Machine(module, fuse=fuse, jit=jit), **run_kw)
-        eager = outcome(make_eager(Machine(module, fuse=fuse, jit=jit)),
-                        **run_kw)
-        assert lazy == eager, f"lazy load diverged (fuse={fuse} jit={jit})"
-        states[(fuse, jit)] = lazy[:2]
+    for fuse in modes:
+        lazy = outcome(Machine(module, fuse=fuse), **run_kw)
+        eager = outcome(make_eager(Machine(module, fuse=fuse)), **run_kw)
+        assert lazy == eager, f"lazy load diverged (fuse={fuse})"
+        states[fuse] = lazy[:2]
     first = next(iter(states.values()))
     assert all(state == first for state in states.values())
 
@@ -126,12 +122,12 @@ def instrumented():
 
 # ---- nothing is built at load ----------------------------------------------
 
-@pytest.mark.parametrize("fuse,jit", MODES)
+@pytest.mark.parametrize("fuse", MODES)
 @pytest.mark.parametrize("exe", ["plain", "instrumented"])
-def test_load_builds_no_closure_trampoline_or_counter(exe, fuse, jit,
+def test_load_builds_no_closure_trampoline_or_counter(exe, fuse,
                                                       instrumented):
     module = build_workload("quick") if exe == "plain" else instrumented
-    cpu = Machine(module, fuse=fuse, jit=jit).cpu
+    cpu = Machine(module, fuse=fuse).cpu
     n = len(cpu._insts)
     assert n == len(module.section(".text").data) // 4
     assert all(is_stub(cpu, fn) for fn in cpu._code)
@@ -142,14 +138,8 @@ def test_load_builds_no_closure_trampoline_or_counter(exe, fuse, jit,
         heads = [i for i, fn in enumerate(cpu._dispatch)
                  if fn.__func__ == cpu._install_head]
         assert heads == sorted(cpu._runs)
-        assert len(cpu._leader) == n + 1
     else:
         assert cpu._dispatch is cpu._code
-    if jit:
-        assert cpu.jit._fused == {} and cpu.jit._installed == {}
-        assert not any(cpu.jit_stats().values())
-    else:
-        assert cpu.jit is None
 
 
 # ---- what is built is what ran ---------------------------------------------
@@ -157,7 +147,7 @@ def test_load_builds_no_closure_trampoline_or_counter(exe, fuse, jit,
 def executed_indices(module, args) -> set[int]:
     """Every index a run retires, observed by sampling each instruction."""
     sampler = PcSampler(interval=1)
-    Machine(module, args=args, fuse=False, jit=False).run(sampler=sampler)
+    Machine(module, args=args, fuse=False).run(sampler=sampler)
     return set(sampler.counts)
 
 
@@ -168,19 +158,14 @@ def test_built_closures_are_exactly_the_executed_indices(exe, instrumented):
     executed = executed_indices(module, args)
     n = len(module.section(".text").data) // 4
     assert len(executed) < n
-    for fuse, jit in MODES:
-        machine = Machine(module, args=args, fuse=fuse, jit=jit)
+    for fuse in MODES:
+        machine = Machine(module, args=args, fuse=fuse)
         machine.run()
         cpu = machine.cpu
         built = built_indices(cpu)
         assert cpu.closures_built == len(built)
-        if jit:
-            # Blocks first reached inside a compiled region never go
-            # through their per-instruction closures.
-            assert built <= executed
-        else:
-            # Fused runs build their closures on the cold first entry.
-            assert built == executed, f"fuse={fuse}"
+        # Fused runs build their closures on the cold first entry.
+        assert built == executed, f"fuse={fuse}"
         # A head is installed exactly when it was dispatched; a head
         # that never ran still holds its stub.
         for start in getattr(cpu, "_runs", ()):
@@ -199,7 +184,7 @@ def test_instrumented_short_run_builds_under_half_the_text(instrumented):
 
 #: ``func``'s body is one superblock run.  Control first enters it
 #: mid-run through a computed ``jsr`` before anything ever dispatched its
-#: head, then enters at the head (hot, so fused and promoted) and mid-run
+#: head, then enters at the head (hot, so fused) and mid-run
 #: again, alternately.
 MID_RUN = f"""
         li   s0, {HOT}
@@ -247,60 +232,14 @@ def test_computed_jump_into_never_entered_run_interior():
     assert all(is_stub(cpu, cpu._code[i]) for i in range(func, mid))
 
 
-def chain(tag: str, blocks: int) -> str:
-    """A branch chain longer than one region's block budget, so the
-    loops on either side never land in the same region."""
-    lines = [f"{tag}_{j}: br {tag}_{j + 1}" for j in range(blocks)]
-    return "\n".join(lines + [f"{tag}_{blocks}:"])
-
-
-def test_jit_eviction_churn_on_lazily_installed_heads():
-    """Two loops alternating under a one-region cache: every promotion
-    evicts the other loop's region, the evicted head gets a fresh
-    counter on its fused executor, and each re-promotion matches the
-    eager machine exactly — state and every JIT counter."""
-    module = build(f"""
-        li   s5, 6
-        clr  t9
-outer:  li   t0, {HOT}
-lA:     addq t9, 1, t9
-        subq t0, 1, t0
-        bne  t0, lA
-{chain('sa', MAX_BLOCKS + 2)}
-        li   t1, {HOT}
-lB:     addq t9, 2, t9
-        subq t1, 1, t1
-        bne  t1, lB
-{chain('sb', MAX_BLOCKS + 2)}
-        subq s5, 1, s5
-        bgt  s5, outer
-        and  t9, 0xff, t9
-""")
-    runs = []
-    for eager in (False, True):
-        machine = Machine(module, jit=True)
-        if eager:
-            make_eager(machine)
-        machine.cpu.jit.cache_cap = 1
-        runs.append(outcome(machine))
-    lazy, eager = runs
-    assert lazy == eager
-    stats = lazy[2]
-    assert stats["jit_resident"] <= 1
-    assert stats["jit_regions"] > 4
-    assert stats["jit_evictions"] >= stats["jit_regions"] - 1
-    plain = outcome(Machine(module, fuse=False, jit=False))
-    assert lazy[:2] == plain[:2]
-
-
 @pytest.mark.parametrize("budget", [50, 1000, 5000])
 def test_budget_and_samples_match_eager(budget):
     module = build_workload("fib")
     assert_lazy_matches_eager(module, max_insts=budget)
-    for fuse, jit in MODES:
+    for fuse in MODES:
         streams = []
         for eager in (False, True):
-            machine = Machine(module, fuse=fuse, jit=jit)
+            machine = Machine(module, fuse=fuse)
             if eager:
                 make_eager(machine)
             sampler = PcSampler(interval=97)
@@ -321,9 +260,9 @@ def test_illegal_opcode_in_unreachable_code_fails_at_load():
     illegal = next(op for op in range(64) if op not in opcodes.BY_OPCODE)
     # Overwrite the last word: after the exit syscall, never reached.
     text[-4:] = (illegal << 26).to_bytes(4, "little")
-    for fuse, jit in MODES:
+    for fuse in MODES:
         with pytest.raises(EncodingError, match="illegal opcode"):
-            Machine(module, fuse=fuse, jit=jit)
+            Machine(module, fuse=fuse)
 
 
 def test_every_decodable_opcode_has_a_closure():

@@ -1,10 +1,11 @@
 """Sparse memory: mapping, typed access, faults, strings — and the
-typed-view fast paths the region JIT compiles against.
+validated-page fast path that ``read_uint``/``write_uint`` and the fused
+superblock templates share.
 
-The fast-path tests treat ``read()``/``write()`` (byte-slice based,
-view-free) as the reference implementation and insist the ``_fast*``
-typed views and the ``read_uint``/``write_uint`` fast branches agree
-with it bit-for-bit, especially at page boundaries and on unaligned
+The fast-path tests treat ``read()``/``write()`` (the region-checked
+byte path) as the reference implementation and insist the ``_fast``
+page map and the ``read_uint``/``write_uint`` fast branches agree with
+it bit-for-bit, especially at page boundaries and on unaligned
 addresses where the two implementations genuinely differ in mechanism.
 """
 
@@ -105,15 +106,14 @@ def test_unaligned_access_allowed():
     assert mem.read_uint(0x1001, 4) == 0xDEADBEEF
 
 
-# ---- typed-view fast paths (what the region JIT compiles against) ----
+# ---- the validated-page fast path (what fused superblocks inline) ----
 
-VIEW_FOR_SIZE = {8: "_fastq", 4: "_fastl", 2: "_fastw"}
 SIZES = (1, 2, 4, 8)
 
 
 def touched(n_pages: int = 4) -> Memory:
     """A memory whose first ``n_pages`` are fully mapped, allocated and
-    fast-path installed — the steady state JIT regions run in."""
+    fast-path installed — the steady state fused code runs in."""
     mem = Memory()
     mem.map_region(0, n_pages * PAGE_SIZE, "r")
     for page in range(n_pages):
@@ -129,25 +129,24 @@ def fill(mem: Memory, base: int, length: int) -> bytes:
 
 def test_fast_views_installed_and_aliased():
     mem = touched(2)
-    for views in (mem._fastq, mem._fastl, mem._fastw):
-        assert set(views) == {0, 1}
-    # the views write through to the same bytes the slow path reads
-    mem._fastq[0][3] = 0x1122334455667788
+    assert set(mem._fast) == {0, 1}
+    # fast pages are the very bytes the slow path reads
+    mem._fast[0][24:32] = (0x1122334455667788).to_bytes(8, "little")
     assert mem.read(24, 8) == bytes.fromhex("8877665544332211")
-    mem._fastw[1][1] = 0xBEEF
+    mem._fast[1][2:4] = (0xBEEF).to_bytes(2, "little")
     assert mem.read_uint(PAGE_SIZE + 2, 2) == 0xBEEF
 
 
 def test_fast_views_track_pages_allocated_later():
-    """A page validated by check() before its first write must gain its
-    views at allocation time, not serve stale/no views."""
+    """A page validated by check() before its first write must join the
+    fast path at allocation time, not serve a stale page or none."""
     mem = Memory()
     mem.map_region(0, 2 * PAGE_SIZE, "r")
     mem.check(PAGE_SIZE + 8, 8)                 # validated, still BSS
     assert 1 in mem._full and 1 not in mem._fast
     mem.write_u8(PAGE_SIZE + 8, 0x5A)           # first allocation
-    assert 1 in mem._fast
-    assert mem._fastq[1][1] == 0x5A
+    assert mem._fast[1] is mem._pages[1]
+    assert mem._fast[1][8] == 0x5A
 
 
 def test_read_uint_fast_equals_slow_everywhere():
@@ -162,24 +161,6 @@ def test_read_uint_fast_equals_slow_everywhere():
             expect = int.from_bytes(blob[addr:addr + size], "little")
             assert mem.read_uint(addr, size) == expect, (addr, size)
             assert int.from_bytes(mem.read(addr, size), "little") == expect
-
-
-def test_jit_view_indexing_equals_read():
-    """The exact access shape `_gen_mem` compiles: aligned addresses go
-    ``view[(a & 4095) >> shift]``, everything else falls back to
-    ``read``.  Both must see the same bits at every offset straddling a
-    page boundary."""
-    mem = touched(3)
-    fill(mem, 0, 3 * PAGE_SIZE)
-    for size, view_name in VIEW_FOR_SIZE.items():
-        views = getattr(mem, view_name)
-        shift = size.bit_length() - 1
-        for a in range(PAGE_SIZE - 2 * size, PAGE_SIZE + 2 * size):
-            reference = int.from_bytes(mem.read(a, size), "little")
-            if a & (size - 1):                  # JIT takes the read path
-                assert mem.read_uint(a, size) == reference
-            else:
-                assert views[a >> 12][(a & 4095) >> shift] == reference
 
 
 def test_write_uint_straddle_matches_byte_writes():
@@ -197,11 +178,13 @@ def test_write_uint_straddle_matches_byte_writes():
 
 
 def test_view_write_then_straddle_read_coherent():
-    """Interleaving view writes (JIT stores) with straddling reads
-    (slow path) must stay coherent — both sides address one bytearray."""
+    """Interleaving fast-page writes (the shape fused stores compile to)
+    with straddling reads (slow path) must stay coherent — both sides
+    address one bytearray."""
     mem = touched(2)
-    mem._fastq[0][(PAGE_SIZE - 8) >> 3] = 0xA1B2C3D4E5F60718
-    mem._fastq[1][0] = 0x1828384858687888
+    page0, page1 = mem._fast[0], mem._fast[1]
+    page0[PAGE_SIZE - 8:] = (0xA1B2C3D4E5F60718).to_bytes(8, "little")
+    page1[0:8] = (0x1828384858687888).to_bytes(8, "little")
     got = mem.read_uint(PAGE_SIZE - 4, 8)       # 4 bytes from each page
     assert got == int.from_bytes(
         (0xA1B2C3D4E5F60718).to_bytes(8, "little")[4:] +

@@ -2,11 +2,13 @@
 
 Every test here runs the same program under the fused dispatch and the
 plain per-instruction loop and insists on identical machine state —
-registers, stats, memory, faults, and fault pcs.  The tier-up budgets
-are lowered (the ``early_tiers`` fixture: a head fuses on its second
+registers, stats, memory, faults, and fault pcs.  The tier-up budget
+is lowered (the ``early_tiers`` fixture: a head fuses on its second
 entry) and loops run enough iterations that the generated superblock
 executors are actually installed, so the compiled templates (not just
-the counter's cold walk) are what gets compared.
+the counter's cold walk) are what gets compared.  The dispatch loop's
+error paths (budget off-by-one, IndexError masking) are pinned here as
+well.
 """
 
 import pytest
@@ -189,26 +191,23 @@ def test_instruction_budget_exact_in_all_modes():
     # straight past the budget mid-superblock, and the historical
     # per-instruction tail retired one instruction *past* the budget
     # before raising.  Exactly N instructions must retire — no more —
-    # on all three dispatch paths, with identical machine state.
+    # on both dispatch paths, with identical machine state.
     body = "loop: " + "\n      ".join(["addq t0, 1, t0"] * 30) + \
            "\n      br loop"
-    # 100 exhausts a few iterations in; 2000 exhausts well after the
-    # hot loop has been promoted into a compiled region.
+    # 100 exhausts a few iterations in; 2000 exhausts after the hot
+    # loop has run its fused executor many times.
     for budget in (100, 2000):
         states = {}
-        for fuse, jit in ((False, False), (True, False), (True, True)):
-            machine = Machine(build(body), fuse=fuse, jit=jit)
+        for fuse in (False, True):
+            machine = Machine(build(body), fuse=fuse)
             with pytest.raises(MachineError, match="budget"):
                 machine.run(max_insts=budget)
             assert machine.cpu.inst_count == budget, \
-                f"budget overshot with fuse={fuse} jit={jit}"
-            states[(fuse, jit)] = machine_state(machine)
+                f"budget overshot with fuse={fuse}"
+            states[fuse] = machine_state(machine)
             if fuse:
                 assert machine.cpu.sb_compiled >= 1
-            if jit and budget == 2000:
-                assert machine.cpu.jit.promoted >= 1
-        assert states[(False, False)] == states[(True, False)] \
-            == states[(True, True)]
+        assert states[False] == states[True]
 
 
 def test_memory_fault_pc_identical_in_fused_block():
@@ -264,3 +263,68 @@ done:
         messages.append(str(ei.value))
         assert machine.cpu.sb_compiled >= fuse
     assert messages[0] == messages[1]
+
+
+def test_handler_internal_indexerror_propagates():
+    # An IndexError raised *inside* a handler body is a simulator bug
+    # and must surface with its real traceback, not be masked as
+    # "control left the text segment" by the dispatch loop's guard.
+    for fuse in (True, False):
+        machine = Machine(build("        addq t9, 1, t9"), fuse=fuse)
+        cpu = machine.cpu
+        index = cpu._index_of(machine.module.entry)
+
+        def buggy():
+            raise IndexError("handler bug, not a control-flow exit")
+
+        cpu._code[index] = buggy
+        cpu._dispatch[index] = buggy
+        with pytest.raises(IndexError, match="handler bug"):
+            machine.run()
+
+
+def test_control_past_text_end_still_reported():
+    # The guard the IndexError catch exists for: control falling past
+    # the end of text (a module with no exit syscall) must still
+    # surface as the control-left-text fault, not a raw IndexError.
+    src = """
+        .text
+        .globl __start
+__start:
+        addq t9, 1, t9
+        addq t9, 1, t9
+"""
+    from repro.objfile.linker import link
+    module = link([assemble(src, "t.s")])
+    for fuse in (True, False):
+        machine = Machine(module, fuse=fuse)
+        with pytest.raises(MachineError,
+                           match="control left the text segment"):
+            machine.run()
+
+
+def test_every_fusible_opcode_has_a_template():
+    """Every memory and operate opcode has a fused template, register
+    and literal forms alike, and every branch and jump a terminator
+    template."""
+    from repro.isa import opcodes
+    from repro.isa.instruction import Instruction
+    from repro.isa.opcodes import Format
+    from repro.machine.cpu import _gen_inst, _gen_term
+    checked = 0
+    for op in opcodes.BY_MNEMONIC.values():
+        if op.format in (Format.MEMORY, Format.OPERATE):
+            for lit in (False, True):
+                inst = Instruction(op, ra=1, rb=2, rc=3, disp=8, lit=5,
+                                   is_lit=lit)
+                lines, _ = _gen_inst(inst, 0x1000)
+                compile("\n".join(lines) or "pass", op.mnemonic, "exec")
+            checked += 1
+        elif op.format in (Format.BRANCH, Format.JUMP):
+            inst = Instruction(op, ra=1, rb=2, disp=-4)
+            body = "\n".join(" " + line
+                             for line in _gen_term(inst, 40, 0x1000))
+            compile(f"def t():\n{body}\n", op.mnemonic, "exec")
+            checked += 1
+    assert checked == sum(op.format is not Format.SYSTEM
+                          for op in opcodes.BY_MNEMONIC.values()) == 47

@@ -22,8 +22,9 @@ def test_measure_workload_row_shape():
 
 
 def test_hooked_and_detached_execute_identically():
-    """The detached replica must be the same computation — identical
-    retired-instruction count — or the A/B is meaningless."""
+    """The detached side (``Cpu.run`` without the observability layer
+    around it) must be the same computation — identical retired-
+    instruction count — or the A/B is meaningless."""
     from repro.machine import run_module
     from repro.obs.overhead import _run_detached
     from repro.workloads import build_workload

@@ -125,25 +125,23 @@ def test_load_and_run_spans_split_interpretation(traced):
     assert "interpret/machine.run" in labels
 
 
-def test_run_span_counts_region_compiles(traced, early_tiers):
+def test_run_span_counts_superblock_compiles(traced, early_tiers):
     """The ``machine.run`` span and the ``cpu.*`` counters say how many
-    regions a run compiled with ``compile()`` and how many it took from
-    the shared code cache, so a trace shows the compile work a run did.
-    A second run of the same executable compiles nothing."""
-    from repro.machine import jit, run_module
+    superblocks a run fused and how many of those it took from the
+    shared code cache instead of ``compile()``, so a trace shows the
+    compile work a run did.  A second run of the same executable
+    compiles nothing."""
+    from repro.machine import cpu, run_module
     from repro.workloads import build_workload
     module = build_workload("fib")
-    jit._JIT_CACHE.clear()
-    results = [run_module(module), run_module(module)]
-    runs = [e for e in traced.events if e["name"] == "machine.run"]
+    cpu._SB_CACHE.clear()
+    run_module(module)
+    run_module(module)
+    runs = [e["args"] for e in traced.events if e["name"] == "machine.run"]
     assert len(runs) == 2
-    for event, result in zip(runs, results):
-        for key in ("jit_regions", "jit_compiled", "jit_cache_hits"):
-            assert event["args"][key] == result.jit_stats[key]
-    first, second = (r.jit_stats for r in results)
-    assert first["jit_compiled"] >= 1
-    assert second["jit_compiled"] == 0
-    assert second["jit_cache_hits"] == second["jit_regions"] >= 1
-    for key in ("jit_regions", "jit_compiled", "jit_cache_hits",
-                "jit_evictions", "jit_denied"):
-        assert traced.counters[f"cpu.{key}"] == first[key] + second[key]
+    first, second = runs
+    assert first["sb_compiled"] > first["sb_cache_hits"]
+    assert second["sb_compiled"] == second["sb_cache_hits"] >= 1
+    for key, counter in (("sb_compiled", "cpu.superblocks_compiled"),
+                         ("sb_cache_hits", "cpu.sb_cache_hits")):
+        assert traced.counters[counter] == first[key] + second[key]

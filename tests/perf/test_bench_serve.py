@@ -44,20 +44,29 @@ class TestServeCompareLeg:
         assert not compare_reports(old, _serve_report(1.0))
 
 
+def _minimal_report(schema="repro-bench-interp/v5"):
+    return {
+        "schema": schema,
+        "created": "x", "host": {}, "config": {},
+        "interpreter": {"w": {"insts": 1, "cycles": 1,
+                              "fused_ips": 1, "simple_ips": 1,
+                              "speedup": 1.0}},
+        "tools": [], "overhead": {},
+    }
+
+
 class TestServeSchema:
     def test_malformed_serve_section_rejected(self):
-        report = {
-            "schema": "repro-bench-interp/v4",
-            "created": "x", "host": {}, "config": {},
-            "interpreter": {"w": {"insts": 1, "cycles": 1,
-                                  "fused_ips": 1, "simple_ips": 1,
-                                  "speedup": 1.0, "jit_ips": 1,
-                                  "jit_speedup": 1.0}},
-            "tools": [], "overhead": {},
-            "serve": {"workload": "fib"},       # missing the numbers
-        }
+        report = _minimal_report()
+        report["serve"] = {"workload": "fib"}   # missing the numbers
         with pytest.raises(ValueError):
             validate_report(report)
+
+    def test_v5_is_the_only_accepted_schema(self):
+        validate_report(_minimal_report())
+        for old in ("v1", "v2", "v3", "v4"):
+            with pytest.raises(ValueError, match="schema"):
+                validate_report(_minimal_report(f"repro-bench-interp/{old}"))
 
 
 class TestCommittedBaseline:

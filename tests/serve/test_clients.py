@@ -48,16 +48,8 @@ def test_wrl_run_server_byte_identical(daemon, exe_path, capfdbinary):
     assert served_status == local_status
     assert served.out == local.out
     # stderr carries the deterministic [cycles= insts=] stats line.
-    # The [jit ...] counters are host observability, not artifacts: a
-    # warm daemon worker reports code-cache hits where a cold process
-    # reports compiles, so that one line is exempt from byte-identity.
-    def arch_lines(err: bytes) -> list[bytes]:
-        return [line for line in err.splitlines()
-                if not line.startswith(b"[jit ")]
-
-    assert arch_lines(served.err) == arch_lines(local.err)
-    assert any(line.startswith(b"[jit ") for line in
-               served.err.splitlines())
+    assert served.err == local.err
+    assert b"[cycles=" in served.err
 
 
 def test_wrl_run_server_timeout_exit_code(daemon, exe_path,

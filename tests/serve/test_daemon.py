@@ -63,6 +63,31 @@ def test_run_byte_identity_with_cold_path(client, exe):
     assert "queued" in phases and "dispatch" in phases
 
 
+def test_run_request_with_jit_key_succeeds(daemon, exe):
+    """perfbench/serve_mix.py still sends ``"jit": true`` on run
+    requests: the daemon ignores unknown top-level request keys, so the
+    request runs like one without it."""
+    import base64
+    import json
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(300.0)
+        raw.connect(str(daemon.socket_path))
+        raw.sendall(encode_frame({"op": "run", "id": "with-jit",
+                                  "exe": base64.b64encode(exe).decode(),
+                                  "args": ["12"], "max_insts": 500_000_000,
+                                  "fuse": True, "jit": True}))
+        with raw.makefile("rb") as stream:
+            frame = json.loads(stream.readline())
+            while frame["type"] not in ("result", "error"):
+                frame = json.loads(stream.readline())
+    assert frame["type"] == "result", frame
+    ref = ServeClient(daemon.socket_path, timeout=300.0).run_exe(
+        exe, args=("12",))
+    assert frame["run"]["status"] == ref.status
+    assert frame["run"]["insts"] == ref.insts
+    assert "jit_stats" not in frame["run"]
+
+
 def test_eval_record_matches_serial_runner(client):
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
     ref = run_with_retries(spec, False, True, 1)

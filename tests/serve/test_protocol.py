@@ -123,19 +123,13 @@ def test_eval_dedup_key_identity():
 
 
 def test_run_dedup_key_uses_exe_hash():
-    key = run_dedup_key(b"exe", ("a",), b"", 100, True, True, "t")
-    assert key == run_dedup_key(b"exe", ("a",), b"", 100, True, True,
-                                "t")
-    assert key != run_dedup_key(b"exe2", ("a",), b"", 100, True, True,
-                                "t")
-    assert key != run_dedup_key(b"exe", ("b",), b"", 100, True, True,
-                                "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"x", 100, True, True,
-                                "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"", 101, True, True,
-                                "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"", 100, True, True,
-                                "u")
+    key = run_dedup_key(b"exe", ("a",), b"", 100, True, "t")
+    assert key == run_dedup_key(b"exe", ("a",), b"", 100, True, "t")
+    assert key != run_dedup_key(b"exe2", ("a",), b"", 100, True, "t")
+    assert key != run_dedup_key(b"exe", ("b",), b"", 100, True, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"x", 100, True, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"", 101, True, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"", 100, True, "u")
 
 
 def test_stdin_hashed_not_embedded_in_eval_key():

@@ -283,12 +283,9 @@ def test_v1_client_gets_byte_identical_terminal_frame(daemon, exe):
     work receive byte-identical terminal frames: trace context may ride
     on heartbeats and in the trace, never in results."""
     import base64
-    # jit=False: the JIT's code-cache counters are warm-worker history
-    # (hits vs compiles), the one legitimately non-repeatable field.
     base = {"op": "run", "id": "v1-compat",
             "exe": base64.b64encode(exe).decode(),
-            "args": ["13"], "max_insts": 500_000_000,
-            "fuse": True, "jit": False}
+            "args": ["13"], "max_insts": 500_000_000, "fuse": True}
     v1 = _raw_terminal(daemon.socket_path, dict(base))
     v2 = _raw_terminal(daemon.socket_path,
                        dict(base, trace_id="v2-trace-id"))
