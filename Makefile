@@ -30,11 +30,14 @@ check-bench:
 
 # Dispatch lane: the fused-vs-simple differential suites (machine-level
 # state identity plus the end-to-end instrumented/profiled lane), lazy
-# load against an eagerly built machine, and the tier-up policy.  The
-# bench regression gate for dispatch throughput is check-bench.
+# load against an eagerly built machine, the tier-up policy, the
+# reference-model oracle run on both consumers of the semantics table,
+# and the table's agreement with the ISA's register effects.  The bench
+# regression gate for dispatch throughput is check-bench.
 check-dispatch:
 	$(PYTHON) -m pytest -q tests/machine/test_superblocks.py \
 	    tests/machine/test_lazy_load.py tests/machine/test_tier_policy.py \
+	    tests/machine/test_properties.py tests/machine/test_semantics.py \
 	    tests/eval/test_dispatch_differential.py
 
 # Parallel conformance/differential matrix lane (pytest -m matrix), plus

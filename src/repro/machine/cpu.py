@@ -5,7 +5,7 @@ of per-instruction closures (the machine never self-modifies code), so
 the dispatch loop is a tight ``i = code[i]()``.  Each closure charges its
 cycle cost, updates registers or memory, and returns the index of the
 next instruction.  Closures are built on first execution, not at load:
-every slot starts as a stub that compiles its instruction's closure,
+every slot starts as a stub that builds its instruction's closure,
 patches it over itself and runs it.  Load therefore costs one decode
 (one :class:`Instruction` per distinct word) and one stub per
 instruction, and only code that runs pays for a closure; a short run
@@ -24,6 +24,19 @@ index keeps its per-instruction closure, so such entries simply execute
 per-instruction until the next control transfer re-synchronizes them with
 a superblock head.  Architectural state (``regs``, ``stats``, ``memory``)
 is bit-identical either way.
+
+Each instruction's semantics is written once, in :data:`SEMANTICS`: one
+entry per opcode, built at import, holding Python statement templates
+with named holes (operands, destination, displacement, pc, branch
+target, fall-through, link address, text base), the field the
+destination is in, and what runs when that is the zero register.  Two
+fillers consume the table.  A per-instruction closure comes from a
+factory compiled once per instruction *shape* (opcode, literal form,
+zero destination) with the holes bound to the factory's free variables,
+so building a closure is one call, never a ``compile()``.  A fused
+superblock fills the holes with constants (zero-register reads fold to
+0) and compiles the run's lines as one function.  The two dispatch
+tiers therefore cannot disagree on what an instruction does.
 
 The fused executor is *compiled*: the run's semantics are emitted as
 Python source and ``compile()``d into one code object, so straight-line
@@ -50,8 +63,10 @@ machine code that runs here natively, analysis routines and all.
 
 from __future__ import annotations
 
+import functools
 import struct
 from types import MethodType
+from typing import NamedTuple
 
 from ..isa import encoding, opcodes, registers
 from ..isa.instruction import Instruction
@@ -134,6 +149,10 @@ class Cpu:
         #: Retired work at which a superblock head fuses (see _tier_up).
         self.fuse_work = FUSE_WORK
         self._insts = _decode_text(text)
+        #: What every per-instruction closure binds (see _compile).
+        self._env = (self.regs, self.stats, memory.read_uint,
+                     memory.write_uint, memory._fast, kernel.syscall,
+                     text_base)
         #: Lazy call/return classification table for shadow-stack sampling.
         self._ctl: bytearray | None = None
         self._costs = cost_model.sequence_costs(self._insts,
@@ -359,7 +378,7 @@ class Cpu:
         return runs
 
     def _materialize(self, index: int) -> int:
-        """A stub's body: compile instruction ``index``'s closure, patch
+        """A stub's body: build instruction ``index``'s closure, patch
         it over the stub in ``_code`` (and in ``_dispatch`` when the same
         stub sits there), then execute it."""
         code = self._code
@@ -423,47 +442,35 @@ class Cpu:
 
         The generated source charges the whole superblock's cost and
         count with one batched ``stats`` update, then executes every
-        instruction's semantics inline — no per-instruction dispatch or
-        call — and returns the successor index (the terminator's target
-        or fall-through, or ``end`` for a terminator-less run).  Reads of
-        the zero register constant-fold to 0 and writes to it are elided
-        (their cycles are still charged), exactly matching the
-        per-instruction closures.  ``p`` tracks the pc of the trappable
-        instruction being executed so faults escape with a precise
-        location.
+        instruction's semantics inline (:func:`_fused_lines`) — no
+        per-instruction dispatch or call — and returns the successor
+        index (the terminator's target or fall-through, or ``end`` for a
+        terminator-less run).  Reads of the zero register constant-fold
+        to 0 and writes to it are elided (their cycles are still
+        charged), exactly matching the per-instruction closures.  A
+        memory fault escapes at ``p``, the pc of the access that raised
+        it; every other trap is raised located.
         """
         base = self.text_base
         body: list[str] = []
-        trappable = False
         for k in range(start, end):
-            lines, traps = _gen_inst(self._insts[k], base + 4 * k)
-            trappable |= traps
-            body.extend(lines)
+            body.extend(_fused_lines(self._insts[k], k, base))
         if term is not None:
-            body.extend(_gen_term(self._insts[term], term, base))
+            body.extend(_fused_lines(self._insts[term], term, base))
             count = (end - start) + 1
             total_cost = sum(self._costs[start:term + 1])
         else:
             body.append(f"return {end}")
             count = end - start
             total_cost = sum(self._costs[start:end])
-        head = (f"def sb(r=_regs, read=_read, write=_write, "
-                f"stats=_stats, div=_div, rem=_rem, "
-                f"fast=_fast, fb=_fb):\n"
-                f"    stats[0] += {total_cost}; stats[1] += {count}\n")
-        if trappable:
-            src = head
-            src += f"    p = {base + 4 * start}\n"
-            src += "    try:\n"
-            src += "".join(f"        {line}\n" for line in body)
-            src += ("    except MemoryFault as exc:\n"
-                    "        raise MachineError(str(exc), p) from None\n"
-                    "    except MachineError as exc:\n"
-                    "        if exc.pc is not None:\n"
-                    "            raise\n"
-                    "        raise MachineError(str(exc), p) from None\n")
-        else:
-            src = head + "".join(f"    {line}\n" for line in body)
+        src = (f"def sb(r=_regs, read=_read, write=_write, "
+               f"stats=_stats, div=_div, rem=_rem, "
+               f"fast=_fast, fb=_fb):\n"
+               f"    stats[0] += {total_cost}; stats[1] += {count}\n"
+               f"    try:\n"
+               + "".join(f"        {line}\n" for line in body)
+               + "    except MemoryFault as exc:\n"
+                 "        raise MachineError(str(exc), p) from None\n")
         env = {
             "_regs": self.regs,
             "_read": self.memory.read_uint,
@@ -492,178 +499,17 @@ class Cpu:
         exec(code, env)
         return env["sb"]
 
-    # ---- per-instruction compilation ------------------------------------------
+    # ---- per-instruction closures -------------------------------------------
 
     def _compile(self, inst: Instruction, index: int, cost: int):
-        op = inst.op
-        regs = self.regs
-        stats = self.stats
-        nxt = index + 1
-        pc_addr = self.text_base + 4 * index
-
-        if op.format is Format.MEMORY:
-            return self._compile_memory(inst, nxt, cost)
-        if op.format is Format.BRANCH:
-            return self._compile_branch(inst, index, nxt, cost)
-        if op.format is Format.JUMP:
-            return self._compile_jump(inst, nxt, cost, pc_addr)
-        if op.format is Format.OPERATE:
-            return self._compile_operate(inst, nxt, cost, pc_addr)
-        if op is opcodes.SYS:
-            kernel = self.kernel
-
-            def do_sys():
-                stats[0] += cost
-                stats[1] += 1
-                result = kernel.syscall(
-                    regs[0],
-                    (regs[16], regs[17], regs[18], regs[19], regs[20],
-                     regs[21]),
-                    stats[0])
-                regs[0] = result & MASK
-                return nxt
-            return do_sys
-
-        def do_halt():
-            raise MachineError("halt executed", pc_addr)
-        return do_halt
-
-    def _compile_memory(self, inst: Instruction, nxt: int, cost: int):
-        regs, stats, mem = self.regs, self.stats, self.memory
-        op, ra, rb, disp = inst.op, inst.ra, inst.rb, inst.disp
-        if op is opcodes.LDA or op is opcodes.LDAH:
-            add = disp if op is opcodes.LDA else (disp << 16)
-            if ra == 31:
-                def do_nop():
-                    stats[0] += cost
-                    stats[1] += 1
-                    return nxt
-                return do_nop
-
-            def do_lda():
-                stats[0] += cost
-                stats[1] += 1
-                regs[ra] = (regs[rb] + add) & MASK
-                return nxt
-            return do_lda
-
-        size = op.access_size
-        read_uint = mem.read_uint
-        write_uint = mem.write_uint
-        if op.inst_class is InstClass.LOAD:
-            sign = op.sign_extend
-            top = 1 << (8 * size - 1)
-            wrap = 1 << (8 * size)
-
-            def do_load():
-                stats[0] += cost
-                stats[1] += 1
-                value = read_uint((regs[rb] + disp) & MASK, size)
-                if sign and value & top:
-                    value -= wrap
-                if ra != 31:
-                    regs[ra] = value & MASK
-                return nxt
-            return do_load
-
-        def do_store():
-            stats[0] += cost
-            stats[1] += 1
-            write_uint((regs[rb] + disp) & MASK, regs[ra], size)
-            return nxt
-        return do_store
-
-    def _compile_branch(self, inst: Instruction, index: int, nxt: int,
-                        cost: int):
-        regs, stats = self.regs, self.stats
-        op, ra = inst.op, inst.ra
-        target = index + 1 + inst.disp
-        retaddr = (self.text_base + 4 * (index + 1)) & MASK
-
-        if op.inst_class in (InstClass.UNCOND_BRANCH, InstClass.CALL):
-            def do_br():
-                stats[0] += cost
-                stats[1] += 1
-                if ra != 31:
-                    regs[ra] = retaddr
-                return target
-            return do_br
-
-        test = _BRANCH_TESTS[op.mnemonic]
-
-        def do_bcc():
-            stats[0] += cost
-            stats[1] += 1
-            return target if test(regs[ra]) else nxt
-        return do_bcc
-
-    def _compile_jump(self, inst: Instruction, nxt: int, cost: int,
-                      pc_addr: int):
-        regs, stats = self.regs, self.stats
-        ra, rb = inst.ra, inst.rb
-        base = self.text_base
-        retaddr = (pc_addr + 4) & MASK
-        is_link = inst.op.inst_class in (InstClass.CALL, InstClass.JUMP)
-
-        def do_jump():
-            stats[0] += cost
-            stats[1] += 1
-            dest = regs[rb] & ~3
-            if is_link and ra != 31:
-                regs[ra] = retaddr
-            offset = dest - base
-            if offset < 0:
-                raise MachineError(f"jump to {dest:#x} outside text", pc_addr)
-            return offset >> 2
-        return do_jump
-
-    def _compile_operate(self, inst: Instruction, nxt: int, cost: int,
-                         pc_addr: int):
-        regs, stats = self.regs, self.stats
-        op, ra, rc = inst.op, inst.ra, inst.rc
-        fn = _ALU[op.mnemonic]
-        can_trap = op.mnemonic in ("divq", "remq")
-        if inst.is_lit:
-            lit = inst.lit
-            if can_trap:
-                def do_trap_lit():
-                    stats[0] += cost
-                    stats[1] += 1
-                    if rc != 31:
-                        try:
-                            regs[rc] = fn(regs[ra], lit, regs[rc])
-                        except MachineError as exc:
-                            raise MachineError(str(exc), pc_addr) from None
-                    return nxt
-                return do_trap_lit
-
-            def do_op_lit():
-                stats[0] += cost
-                stats[1] += 1
-                if rc != 31:
-                    regs[rc] = fn(regs[ra], lit, regs[rc])
-                return nxt
-            return do_op_lit
-        rb = inst.rb
-        if can_trap:
-            def do_trap_reg():
-                stats[0] += cost
-                stats[1] += 1
-                if rc != 31:
-                    try:
-                        regs[rc] = fn(regs[ra], regs[rb], regs[rc])
-                    except MachineError as exc:
-                        raise MachineError(str(exc), pc_addr) from None
-                return nxt
-            return do_trap_reg
-
-        def do_op_reg():
-            stats[0] += cost
-            stats[1] += 1
-            if rc != 31:
-                regs[rc] = fn(regs[ra], regs[rb], regs[rc])
-            return nxt
-        return do_op_reg
+        """Instruction ``index``'s closure, from its shape's factory."""
+        opcode = inst.op.opcode
+        make = _closure_factory(opcode, inst.is_lit,
+                                _zero_dest(SEMANTICS[opcode], inst))
+        pc = self.text_base + 4 * index
+        return make(self._env, cost, inst.ra, inst.rb, inst.rc, inst.lit,
+                    inst.disp, pc, index + 1, index + 1 + inst.disp,
+                    (pc + 4) & MASK)
 
 
 def _decode_text(text: bytes) -> list[Instruction]:
@@ -692,266 +538,240 @@ def _decode_text(text: bytes) -> list[Instruction]:
     return insts
 
 
-# ---- superblock source generation ------------------------------------------
+# ---- the semantics table -----------------------------------------------------
+
+class Semantics(NamedTuple):
+    """What one opcode does, as Python statement templates.
+
+    The templates' ``str.format`` holes: ``{a}`` and ``{b}`` read the ra
+    and rb operands (``{b}`` is the literal in an operate's literal
+    form), ``{d}`` is the destination register, ``{disp}`` the
+    displacement, ``{pc}`` the instruction's address, ``{target}`` and
+    ``{nxt}`` the branch target's and the fall-through's indices,
+    ``{link}`` the return address and ``{base}`` the text base; ``{M}``
+    and ``{S}`` are the 64-bit mask and sign bit.  A control transfer
+    returns its successor's index itself.  The statements run with the
+    machine's state bound to ``r`` (registers), ``stats``, ``read`` /
+    ``write`` (checked memory access), ``fast`` (``Memory._fast``),
+    ``syscall``, ``fb`` (``int.from_bytes``), ``div`` / ``rem`` and
+    ``MachineError``; their own locals are ``a o pg v p dest``.  ``p`` is
+    set, just before each checked memory access, to the pc a fused
+    executor reports a :class:`MemoryFault` at (per-instruction closures
+    are located by their dispatch index instead).
+    """
+
+    lines: tuple[str, ...]
+    #: The field ``{d}`` names ("ra" or "rc"); None when nothing is.
+    dest: str | None = None
+    #: What runs instead when that field is the zero register: nothing,
+    #: for most opcodes; a load keeps its fault check and a branch its
+    #: transfer.
+    zero: tuple[str, ...] = ()
+
 
 _M = f"{MASK:#x}"
 _S = f"{SIGN:#x}"
 
+_OPERATE = {
+    "addq": "{d} = ({a} + {b}) & {M}",
+    "subq": "{d} = ({a} - {b}) & {M}",
+    "mulq": "{d} = ({a} * {b}) & {M}",
+    "umulh": "{d} = ({a} * {b}) >> 64",
+    "divq": "{d} = div({a}, {b}, {pc})",
+    "remq": "{d} = rem({a}, {b}, {pc})",
+    "and": "{d} = {a} & {b}",
+    "bis": "{d} = {a} | {b}",
+    "xor": "{d} = {a} ^ {b}",
+    "bic": "{d} = {a} & ~{b} & {M}",
+    "ornot": "{d} = ({a} | ~{b}) & {M}",
+    "sll": "{d} = ({a} << ({b} & 63)) & {M}",
+    "srl": "{d} = {a} >> ({b} & 63)",
+    "sra": "v = {a}; {d} = ((v - 0x10000000000000000) >> ({b} & 63)) & {M}"
+           " if v & {S} else v >> ({b} & 63)",
+    "cmpeq": "{d} = 1 if {a} == {b} else 0",
+    "cmplt": "{d} = 1 if ({a} ^ {S}) < ({b} ^ {S}) else 0",
+    "cmple": "{d} = 1 if ({a} ^ {S}) <= ({b} ^ {S}) else 0",
+    "cmpult": "{d} = 1 if {a} < {b} else 0",
+    "cmpule": "{d} = 1 if {a} <= {b} else 0",
+    "cmoveq": "if {a} == 0: {d} = {b}",
+    "cmovne": "if {a} != 0: {d} = {b}",
+    "sextb": "v = {b}; {d} = ((v & 0xFF) - 0x100) & {M}"
+             " if v & 0x80 else v & 0xFF",
+    "sextw": "v = {b}; {d} = ((v & 0xFFFF) - 0x10000) & {M}"
+             " if v & 0x8000 else v & 0xFFFF",
+    "sextl": "v = {b}; {d} = ((v & 0xFFFFFFFF) - 0x100000000) & {M}"
+             " if v & 0x80000000 else v & 0xFFFFFFFF",
+}
+
+_CONDITIONS = {
+    "beq": "{a} == 0",
+    "bne": "{a} != 0",
+    "blt": "{a} & {S}",
+    "ble": "{a} == 0 or {a} & {S}",
+    "bgt": "{a} != 0 and not {a} & {S}",
+    "bge": "not {a} & {S}",
+    "blbc": "not {a} & 1",
+    "blbs": "{a} & 1",
+}
+
+#: v0 = syscall(v0, (a0, ..., a5), cycles)
+_SYSCALL = ("r[0] = syscall(r[0], (r[16], r[17], r[18], r[19], r[20], "
+            "r[21]), stats[0]) & {M}")
+
+
+def _memory(op: opcodes.OpInfo) -> Semantics:
+    """Loads and stores inline the fully-mapped-page fast path (see
+    ``Memory._fast``): a known-valid allocated page needs no region
+    check and no call into Memory.  Page-crossing or not-yet-validated
+    accesses go through ``read``/``write``, which keep full fault
+    semantics."""
+    if op.inst_class is InstClass.LOAD_ADDRESS:
+        add = "{disp}" if op is opcodes.LDA else "({disp} << 16)"
+        return Semantics(("{d} = ({b} + %s) & {M}" % add,), "ra")
+    size = op.access_size
+    lim = 4097 - size
+    address = "a = ({b} + {disp}) & {M}"
+    head = (address, "o = a & 4095", "pg = fast.get(a >> 12)",
+            f"if pg is not None and o < {lim}:")
+    if op.inst_class is InstClass.STORE:
+        if size == 1:
+            put = "pg[o] = {a} & 0xFF"
+        elif size == 8:
+            put = "pg[o:o + 8] = ({a}).to_bytes(8, 'little')"
+        else:
+            put = (f"pg[o:o + {size}] = ({{a}} & {(1 << 8 * size) - 1:#x})"
+                   f".to_bytes({size}, 'little')")
+        return Semantics(head + ("    " + put, "else:", "    p = {pc}",
+                                 f"    write(a, {{a}}, {size})"))
+    fetch = "pg[o]" if size == 1 else f"fb(pg[o:o + {size}], 'little')"
+    # Discarded load: only the fault check is architectural.
+    check = (address, f"if fast.get(a >> 12) is None or (a & 4095) >= {lim}:",
+             "    p = {pc}", f"    read(a, {size})")
+    if not op.sign_extend:
+        return Semantics(head + ("    {d} = " + fetch, "else:", "    p = {pc}",
+                                 f"    {{d}} = read(a, {size})"), "ra", check)
+    top, wrap = 1 << (8 * size - 1), 1 << (8 * size)
+    return Semantics(head + ("    v = " + fetch, "else:", "    p = {pc}",
+                             f"    v = read(a, {size})",
+                             f"{{d}} = (v - {wrap:#x}) & {{M}} "
+                             f"if v & {top:#x} else v"), "ra", check)
+
+
+def _semantics(op: opcodes.OpInfo) -> Semantics:
+    fmt, cls = op.format, op.inst_class
+    if fmt is Format.MEMORY:
+        return _memory(op)
+    if fmt is Format.OPERATE:
+        return Semantics((_OPERATE[op.mnemonic],), "rc")
+    if fmt is Format.BRANCH:
+        if cls is InstClass.COND_BRANCH:
+            return Semantics(("return {target} if %s else {nxt}"
+                              % _CONDITIONS[op.mnemonic],))
+        return Semantics(("{d} = {link}", "return {target}"), "ra",
+                         ("return {target}",))
+    if fmt is Format.JUMP:
+        # The destination is read before the link is written: ra may be rb.
+        head = ("dest = {b} & ~3",)
+        tail = ("o = dest - {base}",
+                "if o < 0:",
+                "    raise MachineError("
+                "'jump to %#x outside text' % dest, {pc})",
+                "return o >> 2")
+        if cls is InstClass.RET:
+            return Semantics(head + tail)
+        return Semantics(head + ("{d} = {link}",) + tail, "ra", head + tail)
+    if op is opcodes.SYS:
+        return Semantics((_SYSCALL,))
+    return Semantics(("raise MachineError('halt executed', {pc})",))
+
+
+#: Semantics indexed by opcode number (None for unassigned ones), built
+#: at import like :data:`repro.isa.instruction.EFFECTS`.  The only
+#: statement of each opcode's semantics: fused superblocks
+#: (:func:`_fused_lines`) and per-instruction closures
+#: (:func:`_closure_factory`) are both filled in from it.
+SEMANTICS: tuple[Semantics | None, ...] = tuple(
+    _semantics(opcodes.BY_OPCODE[n]) if n in opcodes.BY_OPCODE else None
+    for n in range(64))
+
+
+def _fill(lines, holes: dict) -> list[str]:
+    return [line.format_map(holes) for line in lines]
+
+
+def _zero_dest(sem: Semantics, inst: Instruction) -> bool:
+    return sem.dest is not None \
+        and getattr(inst, sem.dest) == registers.ZERO
+
 
 def _reg(i: int) -> str:
     """Source expression for a register read (zero folds to a constant)."""
-    return "0" if i == 31 else f"r[{i}]"
+    return "0" if i == registers.ZERO else f"r[{i}]"
 
 
-def _gen_inst(inst: Instruction, pc: int) -> tuple[list[str], bool]:
-    """Python source lines executing one fusible instruction's semantics.
-
-    Returns ``(lines, trappable)``; an architectural no-op yields no lines
-    (the superblock's batched stats update still charges it).  Trappable
-    instructions set the local ``p`` to their pc first, so the enclosing
-    handler reports faults precisely.
-    """
-    op = inst.op
-    if op.format is Format.MEMORY:
-        ra, rb, disp = inst.ra, inst.rb, inst.disp
-        if op is opcodes.LDA or op is opcodes.LDAH:
-            add = disp if op is opcodes.LDA else (disp << 16)
-            if ra == 31:
-                return [], False
-            if rb == 31:
-                return [f"r[{ra}] = {add & MASK:#x}"], False
-            return [f"r[{ra}] = (r[{rb}] + {add}) & {_M}"], False
-        size = op.access_size
-        addr = f"{disp & MASK:#x}" if rb == 31 \
-            else f"(r[{rb}] + {disp}) & {_M}"
-        # Loads and stores inline the fully-mapped-page fast path (see
-        # Memory._fast): a known-valid allocated page needs no region
-        # check and no call into Memory at all.  Page-crossing or
-        # not-yet-validated accesses fall back to read()/write(), which
-        # keep full fault semantics; ``p`` is set only on that slow path
-        # since the fast path cannot fault.
-        lim = 4097 - size
-        head = [f"a = {addr}",
-                "o = a & 4095",
-                "pg = fast.get(a >> 12)",
-                f"if pg is not None and o < {lim}:"]
-        if op.inst_class is InstClass.LOAD:
-            if ra == 31:
-                # Discarded load: only the fault check is architectural.
-                return [f"a = {addr}",
-                        f"if fast.get(a >> 12) is None "
-                        f"or (a & 4095) >= {lim}:",
-                        f"    p = {pc}",
-                        f"    read(a, {size})"], True
-            fetch = "pg[o]" if size == 1 \
-                else f"fb(pg[o:o + {size}], 'little')"
-            if op.sign_extend:
-                top = 1 << (8 * size - 1)
-                wrap = 1 << (8 * size)
-                return head + [
-                    f"    v = {fetch}",
-                    "else:",
-                    f"    p = {pc}",
-                    f"    v = read(a, {size})",
-                    f"r[{ra}] = (v - {wrap:#x}) & {_M} "
-                    f"if v & {top:#x} else v"], True
-            return head + [
-                f"    r[{ra}] = {fetch}",
-                "else:",
-                f"    p = {pc}",
-                f"    r[{ra}] = read(a, {size})"], True
-        if ra == 31:
-            store = f"pg[o] = 0" if size == 1 \
-                else f"pg[o:o + {size}] = {bytes(size)!r}"
-        elif size == 1:
-            store = f"pg[o] = r[{ra}] & 0xFF"
-        elif size == 8:
-            store = f"pg[o:o + 8] = r[{ra}].to_bytes(8, 'little')"
-        else:
-            mask = (1 << (8 * size)) - 1
-            store = (f"pg[o:o + {size}] = "
-                     f"(r[{ra}] & {mask:#x}).to_bytes({size}, 'little')")
-        return head + [
-            f"    {store}",
-            "else:",
-            f"    p = {pc}",
-            f"    write(a, {_reg(ra)}, {size})"], True
-
-    # Operate format.
-    rc = inst.rc
-    if rc == 31:
-        # The per-instruction closure never evaluates the ALU function
-        # when rc is the zero register, so neither do we (a divq into
-        # zero does not trap).
-        return [], False
-    mn = op.mnemonic
-    a = _reg(inst.ra)
-    b = str(inst.lit) if inst.is_lit else _reg(inst.rb)
-    c = f"r[{rc}]"
-    if mn == "addq":
-        return [f"{c} = ({a} + {b}) & {_M}"], False
-    if mn == "subq":
-        return [f"{c} = ({a} - {b}) & {_M}"], False
-    if mn == "mulq":
-        return [f"{c} = ({a} * {b}) & {_M}"], False
-    if mn == "umulh":
-        return [f"{c} = ({a} * {b}) >> 64"], False
-    if mn == "and":
-        return [f"{c} = {a} & {b}"], False
-    if mn == "bis":
-        return [f"{c} = {a} | {b}"], False
-    if mn == "xor":
-        return [f"{c} = {a} ^ {b}"], False
-    if mn == "bic":
-        return [f"{c} = {a} & ~{b} & {_M}"], False
-    if mn == "ornot":
-        return [f"{c} = ({a} | ~{b}) & {_M}"], False
-    if mn == "sll":
-        sh = str(inst.lit & 63) if inst.is_lit else f"({b} & 63)"
-        return [f"{c} = ({a} << {sh}) & {_M}"], False
-    if mn == "srl":
-        sh = str(inst.lit & 63) if inst.is_lit else f"({b} & 63)"
-        return [f"{c} = {a} >> {sh}"], False
-    if mn == "sra":
-        sh = str(inst.lit & 63) if inst.is_lit else f"s"
-        lines = [] if inst.is_lit else [f"s = {b} & 63"]
-        lines += [f"v = {a}",
-                  f"{c} = ((v - {(1 << 64):#x}) >> {sh}) & {_M} "
-                  f"if v & {_S} else v >> {sh}"]
-        return lines, False
-    if mn == "cmpeq":
-        return [f"{c} = 1 if {a} == {b} else 0"], False
-    if mn == "cmplt":
-        return [f"{c} = 1 if ({a} ^ {_S}) < ({b} ^ {_S}) else 0"], False
-    if mn == "cmple":
-        return [f"{c} = 1 if ({a} ^ {_S}) <= ({b} ^ {_S}) else 0"], False
-    if mn == "cmpult":
-        return [f"{c} = 1 if {a} < {b} else 0"], False
-    if mn == "cmpule":
-        return [f"{c} = 1 if {a} <= {b} else 0"], False
-    if mn == "cmoveq":
-        return [f"if {a} == 0: {c} = {b}"], False
-    if mn == "cmovne":
-        return [f"if {a} != 0: {c} = {b}"], False
-    if mn == "sextb":
-        return [f"v = {b}",
-                f"{c} = ((v & 0xFF) - 0x100) & {_M} "
-                f"if v & 0x80 else v & 0xFF"], False
-    if mn == "sextw":
-        return [f"v = {b}",
-                f"{c} = ((v & 0xFFFF) - 0x10000) & {_M} "
-                f"if v & 0x8000 else v & 0xFFFF"], False
-    if mn == "sextl":
-        return [f"v = {b}",
-                f"{c} = ((v & 0xFFFFFFFF) - 0x100000000) & {_M} "
-                f"if v & 0x80000000 else v & 0xFFFFFFFF"], False
-    if mn == "divq":
-        return [f"p = {pc}", f"{c} = div({a}, {b}, 0)"], True
-    if mn == "remq":
-        return [f"p = {pc}", f"{c} = rem({a}, {b}, 0)"], True
-    # Unknown operate: fall back to the shared ALU table via div-style
-    # call would lose cmov-old-value semantics; keep it strict instead.
-    raise AssertionError(f"no superblock template for {mn}")
-
-
-def _gen_term(inst: Instruction, index: int, base: int) -> list[str]:
-    """Source lines for a superblock's terminating control transfer.
-
-    Mirrors :meth:`Cpu._compile_branch` / :meth:`Cpu._compile_jump`: the
-    generated code writes the link register when appropriate and returns
-    the successor index (taken target, fall-through, or computed jump
-    destination).
-    """
-    op = inst.op
-    nxt = index + 1
-    if op.format is Format.BRANCH:
-        target = index + 1 + inst.disp
-        if op.inst_class in (InstClass.UNCOND_BRANCH, InstClass.CALL):
-            lines = []
-            if inst.ra != 31:
-                retaddr = (base + 4 * nxt) & MASK
-                lines.append(f"r[{inst.ra}] = {retaddr:#x}")
-            lines.append(f"return {target}")
-            return lines
-        a = _reg(inst.ra)
-        test = {
-            "beq": f"{a} == 0",
-            "bne": f"{a} != 0",
-            "blt": f"{a} & {_S}",
-            "ble": f"{a} == 0 or {a} & {_S}",
-            "bgt": f"{a} != 0 and not {a} & {_S}",
-            "bge": f"not {a} & {_S}",
-            "blbc": f"not {a} & 1",
-            "blbs": f"{a} & 1",
-        }[op.mnemonic]
-        return [f"return {target} if {test} else {nxt}"]
-
-    # Jump format: computed destination, optional link.
+def _fused_lines(inst: Instruction, index: int, base: int) -> list[str]:
+    """Instruction ``index``'s semantics as superblock source: the holes
+    filled with constants, so an architectural no-op yields no lines."""
+    sem = SEMANTICS[inst.op.opcode]
     pc = base + 4 * index
-    lines = [f"dest = {_reg(inst.rb)} & ~3"]
-    if op.inst_class in (InstClass.CALL, InstClass.JUMP) and inst.ra != 31:
-        lines.append(f"r[{inst.ra}] = {(pc + 4) & MASK:#x}")
-    lines.append(f"o = dest - {base}")
-    lines.append("if o < 0:")
-    lines.append(f"    raise MachineError('jump to %#x outside text' % dest, "
-                 f"{pc})")
-    lines.append("return o >> 2")
-    return lines
+    zero = _zero_dest(sem, inst)
+    holes = {"a": _reg(inst.ra),
+             "b": str(inst.lit) if inst.is_lit else _reg(inst.rb),
+             "d": f"r[{getattr(inst, sem.dest)}]" if sem.dest else None,
+             "disp": inst.disp, "pc": pc, "target": index + 1 + inst.disp,
+             "nxt": index + 1, "link": f"{(pc + 4) & MASK:#x}",
+             "base": base, "M": _M, "S": _S}
+    return _fill(sem.zero if zero else sem.lines, holes)
 
 
-_BRANCH_TESTS = {
-    "beq": lambda v: v == 0,
-    "bne": lambda v: v != 0,
-    "blt": lambda v: bool(v & SIGN),
-    "ble": lambda v: v == 0 or bool(v & SIGN),
-    "bgt": lambda v: v != 0 and not v & SIGN,
-    "bge": lambda v: not v & SIGN,
-    "blbc": lambda v: not v & 1,
-    "blbs": lambda v: bool(v & 1),
-}
+def _closure_source(opcode: int, lit: bool, zero: bool) -> str:
+    """Source of the closure factory of one instruction shape: its
+    opcode, literal form and zero destination.  The holes are filled
+    with the factory's free variables, so one source serves every
+    instruction of the shape."""
+    op = opcodes.BY_OPCODE[opcode]
+    sem = SEMANTICS[opcode]
+    holes = {"a": "r[ra]", "b": "lit" if lit else "r[rb]",
+             "d": f"r[{sem.dest}]", "disp": "disp", "pc": "pc",
+             "target": "target", "nxt": "nxt", "link": "link",
+             "base": "base", "M": _M, "S": _S}
+    body = _fill(sem.zero if zero else sem.lines, holes)
+    if op is not opcodes.HALT:          # halt traps before it retires
+        body.insert(0, "stats[0] += cost; stats[1] += 1")
+    if not body[-1].startswith(("return ", "raise ")):
+        body.append("return nxt")       # falls through
+    return ("def make(env, cost, ra, rb, rc, lit, disp, pc, nxt, target, "
+            "link):\n"
+            "    r, stats, read, write, fast, syscall, base = env\n"
+            "    def run():\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return run\n")
 
 
-def _divq(a: int, b: int, old: int) -> int:
+@functools.cache
+def _closure_factory(opcode: int, lit: bool, zero: bool):
+    """The compiled closure factory of one instruction shape: compiled
+    once per process, on the shape's first use, then called once per
+    instruction (a ``compile()`` per instruction would cost some fifty
+    times a closure)."""
+    namespace = {"fb": int.from_bytes, "div": _divq, "rem": _remq,
+                 "MachineError": MachineError}
+    src = _closure_source(opcode, lit, zero)
+    mnemonic = opcodes.BY_OPCODE[opcode].mnemonic
+    exec(compile(src, f"<{mnemonic}>", "exec"), namespace)
+    return namespace["make"]
+
+
+def _divq(a: int, b: int, pc: int) -> int:
     if b == 0:
-        raise MachineError("integer division by zero")
+        raise MachineError("integer division by zero", pc)
     sa, sb = _signed(a), _signed(b)
     return (abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0) else -1)) & MASK
 
 
-def _remq(a: int, b: int, old: int) -> int:
+def _remq(a: int, b: int, pc: int) -> int:
     if b == 0:
-        raise MachineError("integer remainder by zero")
+        raise MachineError("integer remainder by zero", pc)
     sa, sb = _signed(a), _signed(b)
     return (sa - sb * (abs(sa) // abs(sb) * (1 if (sa < 0) == (sb < 0)
                                              else -1))) & MASK
-
-
-_ALU = {
-    "addq": lambda a, b, c: (a + b) & MASK,
-    "subq": lambda a, b, c: (a - b) & MASK,
-    "mulq": lambda a, b, c: (a * b) & MASK,
-    "divq": _divq,
-    "remq": _remq,
-    "and": lambda a, b, c: a & b,
-    "bis": lambda a, b, c: a | b,
-    "xor": lambda a, b, c: a ^ b,
-    "bic": lambda a, b, c: a & ~b & MASK,
-    "ornot": lambda a, b, c: (a | ~b) & MASK,
-    "sll": lambda a, b, c: (a << (b & 63)) & MASK,
-    "srl": lambda a, b, c: a >> (b & 63),
-    "sra": lambda a, b, c: (_signed(a) >> (b & 63)) & MASK,
-    "cmpeq": lambda a, b, c: 1 if a == b else 0,
-    "cmplt": lambda a, b, c: 1 if _signed(a) < _signed(b) else 0,
-    "cmple": lambda a, b, c: 1 if _signed(a) <= _signed(b) else 0,
-    "cmpult": lambda a, b, c: 1 if a < b else 0,
-    "cmpule": lambda a, b, c: 1 if a <= b else 0,
-    "cmoveq": lambda a, b, c: b if a == 0 else c,
-    "cmovne": lambda a, b, c: b if a != 0 else c,
-    "sextb": lambda a, b, c: (b & 0xFF) - 0x100 & MASK
-        if b & 0x80 else b & 0xFF,
-    "sextw": lambda a, b, c: ((b & 0xFFFF) - 0x10000) & MASK
-        if b & 0x8000 else b & 0xFFFF,
-    "sextl": lambda a, b, c: ((b & 0xFFFFFFFF) - 0x100000000) & MASK
-        if b & 0x80000000 else b & 0xFFFFFFFF,
-    "umulh": lambda a, b, c: (a * b) >> 64,
-}

@@ -20,8 +20,9 @@ measures exactly what the observability layer adds around it.  PC
 sampling costs one ``sampler is None`` test at the top of
 :meth:`Cpu.run`, once per run, on both sides.
 
-Throughput is best-of-N per variant, timed with the garbage collector
-off so a collection landing in one variant's rep cannot decide the
+Throughput is best-of-N per variant (:func:`best_of`, which
+``repro.serve.overhead`` shares), timed with the garbage collector off
+so a collection landing in one variant's rep cannot decide the
 comparison; the run fails when the hooked path's insts/sec falls more
 than ``--budget`` (default 2%) below the detached path on any
 workload.  The committed ``BENCH_interp.json`` baseline, when present,
@@ -35,8 +36,10 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 from ..machine import run_module
@@ -64,25 +67,35 @@ def _run_detached(module) -> int:
     return machine._result(status).inst_count
 
 
-def measure_workload(name: str, reps: int = 5) -> dict:
-    """Best-of-N insts/sec for both variants, reps interleaved so clock
-    drift and cache warmth hit both equally."""
-    module = build_workload(name)
-    insts = _run_hooked(module)          # warmup (superblock compiles)
-    _run_detached(module)
-    best = {"hooked": None, "detached": None}
+def best_of(variants: dict, reps: int) -> dict[str, float]:
+    """Best-of-``reps`` seconds per variant (label -> callable).  Reps
+    are interleaved so clock drift and cache warmth hit every variant
+    equally, and each is timed with the garbage collector off so a
+    collection landing in one variant's rep cannot decide the
+    comparison."""
+    best = dict.fromkeys(variants, math.inf)
     for _ in range(max(1, reps)):
-        for label, fn in (("hooked", _run_hooked),
-                          ("detached", _run_detached)):
+        for label, fn in variants.items():
+            enabled = gc.isenabled()
             gc.disable()
             try:
                 t0 = time.perf_counter()
-                fn(module)
+                fn()
                 elapsed = time.perf_counter() - t0
             finally:
-                gc.enable()
-            if best[label] is None or elapsed < best[label]:
-                best[label] = elapsed
+                if enabled:
+                    gc.enable()
+            best[label] = min(best[label], elapsed)
+    return best
+
+
+def measure_workload(name: str, reps: int = 5) -> dict:
+    """Best-of-N insts/sec for both variants (see :func:`best_of`)."""
+    module = build_workload(name)
+    insts = _run_hooked(module)          # warmup (superblock compiles)
+    _run_detached(module)
+    best = best_of({"hooked": partial(_run_hooked, module),
+                    "detached": partial(_run_detached, module)}, reps)
     hooked_ips = insts / best["hooked"]
     detached_ips = insts / best["detached"]
     return {

@@ -13,10 +13,12 @@ interleaved so clock drift and scheduler warmth hit both equally.
 Requests are ``ping`` ops: the cheapest round-trip the protocol has,
 which makes the measurement *adversarial* — every microsecond the
 instrumented dispatch path spends in counters shows up undiluted by
-interpreter work.  Throughput is best-of-N requests/sec per variant;
-like ``repro.obs.overhead`` the harness re-measures once with more reps
-before declaring a violation, so one noisy interval cannot fail the
-lane.
+interpreter work.  Throughput is best-of-N requests/sec per variant,
+timed with the garbage collector off by the helper ``repro.obs.overhead``
+uses (:func:`~repro.obs.overhead.best_of`); like it, the harness
+re-measures once with more reps before declaring a violation, so one
+noisy interval cannot fail the lane.  Sockets and caches live in a
+temporary directory removed when both daemons have stopped.
 
 On failure the metrics exposition text and both daemons' stats
 snapshots land in ``--artifacts`` for CI to upload.
@@ -29,8 +31,10 @@ import json
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
+from ..obs.overhead import best_of
 from .client import ServeClient
 from .daemon import DaemonThread
 
@@ -43,46 +47,46 @@ DEFAULT_PINGS = 200
 def measure(reps: int = DEFAULT_REPS, pings: int = DEFAULT_PINGS,
             artifacts: Path | None = None) -> dict:
     """Best-of-N requests/sec for metrics-on vs metrics-off daemons."""
-    tmp = Path(tempfile.mkdtemp(prefix="wrl-serve-overhead-"))
-    with DaemonThread(socket_path=tmp / "on.sock", jobs=1,
-                      cache_root=tmp / "cache-on",
-                      metrics=True) as on_dt, \
-            DaemonThread(socket_path=tmp / "off.sock", jobs=1,
-                         cache_root=tmp / "cache-off",
-                         metrics=False) as off_dt:
-        clients = {"on": ServeClient(on_dt.socket_path, timeout=120.0),
-                   "off": ServeClient(off_dt.socket_path, timeout=120.0)}
-        for client in clients.values():        # warmup: loop + socket
-            for _ in range(20):
-                client.ping()
-        best = {"on": None, "off": None}
-        for _ in range(max(1, reps)):
-            for label, client in clients.items():
-                t0 = time.perf_counter()
-                for _ in range(pings):
+    with tempfile.TemporaryDirectory(prefix="wrl-serve-overhead-") as root:
+        tmp = Path(root)
+        with DaemonThread(socket_path=tmp / "on.sock", jobs=1,
+                          cache_root=tmp / "cache-on",
+                          metrics=True) as on_dt, \
+                DaemonThread(socket_path=tmp / "off.sock", jobs=1,
+                             cache_root=tmp / "cache-off",
+                             metrics=False) as off_dt:
+            clients = {"on": ServeClient(on_dt.socket_path, timeout=120.0),
+                       "off": ServeClient(off_dt.socket_path,
+                                          timeout=120.0)}
+            for client in clients.values():    # warmup: loop + socket
+                for _ in range(20):
                     client.ping()
-                elapsed = time.perf_counter() - t0
-                if best[label] is None or elapsed < best[label]:
-                    best[label] = elapsed
-        on_rps = pings / best["on"]
-        off_rps = pings / best["off"]
-        row = {
-            "pings": pings,
-            "reps": reps,
-            "on_rps": round(on_rps, 1),
-            "off_rps": round(off_rps, 1),
-            #: > 0 means the metrics-on daemon is slower.
-            "overhead": round(1.0 - on_rps / off_rps, 4),
-        }
-        if artifacts is not None:
-            artifacts.mkdir(parents=True, exist_ok=True)
-            reply = clients["on"].metrics()
-            (artifacts / "metrics.txt").write_text(reply["text"])
-            (artifacts / "stats.json").write_text(json.dumps(
-                {"on": clients["on"].stats(),
-                 "off": clients["off"].stats()},
-                indent=2, default=str) + "\n")
-        return row
+            best = best_of({label: partial(_burst, client, pings)
+                            for label, client in clients.items()}, reps)
+            on_rps = pings / best["on"]
+            off_rps = pings / best["off"]
+            row = {
+                "pings": pings,
+                "reps": reps,
+                "on_rps": round(on_rps, 1),
+                "off_rps": round(off_rps, 1),
+                #: > 0 means the metrics-on daemon is slower.
+                "overhead": round(1.0 - on_rps / off_rps, 4),
+            }
+            if artifacts is not None:
+                artifacts.mkdir(parents=True, exist_ok=True)
+                reply = clients["on"].metrics()
+                (artifacts / "metrics.txt").write_text(reply["text"])
+                (artifacts / "stats.json").write_text(json.dumps(
+                    {"on": clients["on"].stats(),
+                     "off": clients["off"].stats()},
+                    indent=2, default=str) + "\n")
+    return row
+
+
+def _burst(client: ServeClient, pings: int) -> None:
+    for _ in range(pings):
+        client.ping()
 
 
 def run_overhead(reps: int = DEFAULT_REPS, pings: int = DEFAULT_PINGS,

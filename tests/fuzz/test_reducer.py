@@ -76,16 +76,17 @@ def test_reduce_unwraps_compound_statements():
 
 @pytest.fixture
 def broken_fused_xor(monkeypatch):
-    """Corrupt every xor result inside fused superblocks only."""
-    orig = cpumod._gen_inst
+    """Corrupt every xor result inside fused superblocks only: the fused
+    filler is sabotaged, the per-instruction closures are not."""
+    orig = cpumod._fused_lines
 
-    def sabotaged(inst, pc):
-        lines, traps = orig(inst, pc)
+    def sabotaged(inst, index, base):
+        lines = orig(inst, index, base)
         if inst.op.mnemonic == "xor" and inst.rc != 31:
-            lines = list(lines) + [f"r[{inst.rc}] = r[{inst.rc}] ^ 2"]
-        return lines, traps
+            lines = lines + [f"r[{inst.rc}] = r[{inst.rc}] ^ 2"]
+        return lines
 
-    monkeypatch.setattr(cpumod, "_gen_inst", sabotaged)
+    monkeypatch.setattr(cpumod, "_fused_lines", sabotaged)
 
 
 @pytest.mark.fuzz

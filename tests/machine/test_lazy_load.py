@@ -303,3 +303,28 @@ def test_decode_memo_is_private_to_one_load():
     third = Machine(module).cpu
     assert [(i.op, i.ra, i.rb, i.rc, i.disp)
             for i in third._insts] == pristine
+
+
+def test_closures_compile_once_per_shape(monkeypatch):
+    """Closures come from one compiled factory per instruction shape
+    (opcode, literal form, zero destination), never from a ``compile()``
+    per instruction: building every closure of a taint-instrumented
+    executable compiles at most once per shape it holds."""
+    module = apply_tool(build_workload("quick"), get_tool("taint"),
+                        opt=OptLevel.O1, cache=None).module
+    cpu = Machine(module).cpu
+    shapes = {(inst.op.opcode, inst.is_lit,
+               cpu_mod._zero_dest(cpu_mod.SEMANTICS[inst.op.opcode], inst))
+              for inst in cpu._insts}
+    compiled = []
+
+    def counting(source, filename, mode):
+        compiled.append(filename)
+        return compile(source, filename, mode)
+
+    cpu_mod._closure_factory.cache_clear()
+    monkeypatch.setattr(cpu_mod, "compile", counting, raising=False)
+    for i, inst in enumerate(cpu._insts):
+        cpu._compile(inst, i, cpu._costs[i])
+    assert len(cpu._insts) > 30_000
+    assert 0 < len(compiled) <= len(shapes)

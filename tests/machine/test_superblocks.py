@@ -304,27 +304,29 @@ __start:
 
 
 def test_every_fusible_opcode_has_a_template():
-    """Every memory and operate opcode has a fused template, register
-    and literal forms alike, and every branch and jump a terminator
-    template."""
+    """Every opcode has a semantics entry, and every shape it can take
+    compiles both as fused lines (for the memory, operate, branch and
+    jump formats a superblock can hold) and as a closure factory, in
+    register and literal forms, with and without a zero destination."""
     from repro.isa import opcodes
     from repro.isa.instruction import Instruction
     from repro.isa.opcodes import Format
-    from repro.machine.cpu import _gen_inst, _gen_term
+    from repro.machine.cpu import SEMANTICS, _closure_factory, _fused_lines
     checked = 0
-    for op in opcodes.BY_MNEMONIC.values():
-        if op.format in (Format.MEMORY, Format.OPERATE):
-            for lit in (False, True):
-                inst = Instruction(op, ra=1, rb=2, rc=3, disp=8, lit=5,
+    for op in opcodes.ALL_OPS:
+        sem = SEMANTICS[op.opcode]
+        assert sem is not None and sem.lines, op.mnemonic
+        for lit in (False, True) if op.format is Format.OPERATE else (False,):
+            for zero in (False, True) if sem.dest else (False,):
+                inst = Instruction(op, ra=1, rb=2, rc=3, disp=-4, lit=5,
                                    is_lit=lit)
-                lines, _ = _gen_inst(inst, 0x1000)
-                compile("\n".join(lines) or "pass", op.mnemonic, "exec")
-            checked += 1
-        elif op.format in (Format.BRANCH, Format.JUMP):
-            inst = Instruction(op, ra=1, rb=2, disp=-4)
-            body = "\n".join(" " + line
-                             for line in _gen_term(inst, 40, 0x1000))
-            compile(f"def t():\n{body}\n", op.mnemonic, "exec")
-            checked += 1
-    assert checked == sum(op.format is not Format.SYSTEM
-                          for op in opcodes.BY_MNEMONIC.values()) == 47
+                if zero:
+                    inst = inst.copy(**{sem.dest: 31})
+                if op.format is not Format.SYSTEM:
+                    body = "".join(f"    {line}\n"
+                                   for line in _fused_lines(inst, 40, 0x1000))
+                    compile(f"def t():\n    pass\n{body}", op.mnemonic,
+                            "exec")
+                assert callable(_closure_factory(op.opcode, lit, zero))
+        checked += 1
+    assert checked == sum(s is not None for s in SEMANTICS) == 49
