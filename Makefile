@@ -1,10 +1,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check test bench bench-smoke validate-baseline check-bench check-dispatch check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics fuzz-corpus rewrite-digests
+.PHONY: check test bench bench-smoke validate-baseline check-bench check-dispatch check-matrix eval-matrix check-obs check-profile check-fuzz check-taint check-serve check-metrics check-perfbench fuzz-corpus rewrite-digests
 
 # Tier-1 gate: full test suite, then a bench smoke run whose report (and
-# the committed baseline, if present) must satisfy the v1 schema.
+# the committed baseline, if present) must satisfy the v5 schema, the
+# only one validate_report accepts.
 check: test bench-smoke validate-baseline
 
 test:
@@ -146,6 +147,12 @@ check-metrics:
 	    tests/obs/test_top.py tests/serve/test_telemetry.py
 	$(PYTHON) -m repro.serve.overhead --quick \
 	    --out /tmp/serve_overhead.json --artifacts $(METRICS_DIR)
+
+# perfbench's self-tests: its generators, report shape and checks, and
+# the oracle that checks the program's outputs against
+# perfbench/expected_outputs.json.
+check-perfbench:
+	$(PYTHON) -m pytest -q perfbench/tests
 
 # Regenerate the committed seed corpus (policy in DESIGN.md): only when
 # the generator's output changes deliberately, never to paper over a

@@ -46,6 +46,18 @@ VENEER_NAME = "__atom_veneer"
 #: Text spans under this stay within bsr reach end to end.
 _BSR_SPAN_LIMIT = 4 * 1024 * 1024
 
+#: Prepared analysis units, least recently used first.  Preparing a unit
+#: is the analysis half of a rewrite: decode it, build its IR, plan the
+#: saves (renaming, delayed saves, the O2 in-frame rewrite, the O4
+#: inline templates) and emit it.  That half reads only the key: the
+#: unit's bytes, the opt level, the sorted (target, arg count) pairs and
+#: the noinline set.  So a tool applied to many programs pays it once per
+#: process.  An entry holds the emitted module as bytes, before
+#: relocation (each rewrite decodes its own copy, because relocation and
+#: the layout mutate it), and its save plans.
+_prepared: dict[tuple, tuple[bytes, SavePlans]] = {}
+_PREPARED_CAP = 64
+
 
 class LayoutError(AtomError):
     pass
@@ -93,6 +105,10 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
     :func:`repro.mlc.build_analysis_unit`), its serialized bytes, or MLC
     source text.
 
+    The analysis half of the rewrite is prepared once per process for
+    each unit, opt level, set of targets and ``noinline`` set (see
+    ``_prepared``); applying one tool to many programs reuses it.
+
     ``heap_mode`` selects the two-sbrk scheme: "linked" (default — both
     sbrks allocate from one kernel break, each continuing where the other
     stopped) or "partitioned" (the analysis heap starts ``heap_offset``
@@ -104,9 +120,8 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
 
     # Defensive copies: neither input module is mutated.
     app = Module.from_bytes(app_exe.to_bytes())
-    anal = _as_analysis_module(analysis_unit)
+    unit = _analysis_bytes(analysis_unit)
 
-    anal_ir = build_ir(anal)
     app_ir = build_ir(app)
 
     # ---- step 1: run the user's instrumentation routines ----------------
@@ -124,11 +139,11 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
     with TRACE.span("instrument.saves", "instrument") as sp:
         no_inline = frozenset(
             name for name in targets if ctx.protos[name].noinline)
-        plans = compute_plans(anal_ir, targets, opt, no_inline=no_inline)
+        anal_module, plans, hit = _prepare(unit, opt, targets, no_inline)
         for name, plan in plans.plans.items():
             stats.save_set_sizes[name] = len(plan.saves)
-        anal_module = emit(anal_ir).module
-        sp.add(procs=len(plans.plans))
+        sp.add(procs=len(plans.plans), prepared="hit" if hit else "miss")
+        TRACE.count("atom.prepared.hits" if hit else "atom.prepared.misses")
 
     # ---- decide call strategy (bsr vs jsr to the analysis unit) ------------
     anal_text_size = len(anal_module.section(TEXT).data)
@@ -259,15 +274,38 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
     return InstrumentResult(module=final, stats=stats, plans=plans)
 
 
-def _as_analysis_module(analysis_unit) -> Module:
-    if isinstance(analysis_unit, Module):
-        analysis_unit = analysis_unit.to_bytes()
+def _analysis_bytes(analysis_unit) -> bytes:
     if isinstance(analysis_unit, bytes):
-        return Module.from_bytes(analysis_unit)
+        return analysis_unit
+    if isinstance(analysis_unit, Module):
+        return analysis_unit.to_bytes()
     from ..mlc import build_analysis_unit
     if isinstance(analysis_unit, str):
-        return build_analysis_unit([analysis_unit])
-    return build_analysis_unit(list(analysis_unit))
+        analysis_unit = [analysis_unit]
+    return build_analysis_unit(list(analysis_unit)).to_bytes()
+
+
+def _prepare(unit: bytes, opt: OptLevel, targets: dict[str, int],
+             no_inline: frozenset[str]) -> tuple[Module, SavePlans, bool]:
+    """The prepared analysis module for this rewrite to lay out, its save
+    plans, and whether this process had prepared them already.
+
+    A miss lays out the module it just emitted and stores one encoding of
+    it; a hit decodes the stored bytes once.  Either way the caller gets
+    plan records of its own (:meth:`SavePlans.copy`)."""
+    key = (unit, opt, tuple(sorted(targets.items())), no_inline)
+    entry = _prepared.pop(key, None)
+    if entry is not None:
+        _prepared[key] = entry
+        image, plans = entry
+        return Module.from_bytes(image), plans.copy(), True
+    anal_ir = build_ir(Module.from_bytes(unit))
+    plans = compute_plans(anal_ir, targets, opt, no_inline=no_inline)
+    module = emit(anal_ir).module
+    if len(_prepared) >= _PREPARED_CAP:
+        del _prepared[next(iter(_prepared))]
+    _prepared[key] = (module.to_bytes(), plans)
+    return module, plans.copy(), False
 
 
 def _orig_count(app_ir: IRProgram) -> int:

@@ -33,6 +33,7 @@ provided as optimization levels:
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 from dataclasses import dataclass, field
 
@@ -83,6 +84,17 @@ class SavePlans:
 
     def plan(self, name: str) -> ProcSavePlan:
         return self.plans[name]
+
+    def copy(self) -> SavePlans:
+        """Plan records, inline templates included, that share nothing
+        mutable with these: ATOM prepares an analysis unit's plans once
+        per process and hands each rewrite a copy it may change."""
+        return SavePlans(self.level, {
+            name: dataclasses.replace(plan, body=tuple(
+                IRInst(inst=ir.inst.copy(),
+                       relocs=[dataclasses.replace(rel) for rel in ir.relocs])
+                for ir in plan.body))
+            for name, plan in self.plans.items()})
 
 
 def compute_plans(anal_ir: IRProgram, targets: dict[str, int],

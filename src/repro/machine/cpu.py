@@ -483,6 +483,7 @@ class Cpu:
             "_stats": self.stats,
             "_div": _divq,
             "_rem": _remq,
+            "leave": _leave,
             "MemoryFault": MemoryFault,
             "MachineError": MachineError,
         }
@@ -504,12 +505,14 @@ class Cpu:
     def _compile(self, inst: Instruction, index: int, cost: int):
         """Instruction ``index``'s closure, from its shape's factory."""
         opcode = inst.op.opcode
+        target = index + 1 + inst.disp
         make = _closure_factory(opcode, inst.is_lit,
-                                _zero_dest(SEMANTICS[opcode], inst))
+                                _zero_dest(SEMANTICS[opcode], inst),
+                                target < 0
+                                and inst.op.format is Format.BRANCH)
         pc = self.text_base + 4 * index
         return make(self._env, cost, inst.ra, inst.rb, inst.rc, inst.lit,
-                    inst.disp, pc, index + 1, index + 1 + inst.disp,
-                    (pc + 4) & MASK)
+                    inst.disp, pc, index + 1, target, (pc + 4) & MASK)
 
 
 def _decode_text(text: bytes) -> list[Instruction]:
@@ -550,11 +553,14 @@ class Semantics(NamedTuple):
     ``{nxt}`` the branch target's and the fall-through's indices,
     ``{link}`` the return address and ``{base}`` the text base; ``{M}``
     and ``{S}`` are the 64-bit mask and sign bit.  A control transfer
-    returns its successor's index itself.  The statements run with the
+    returns its successor's index itself; a branch whose target lies
+    below the text fills ``{target}`` with a call to ``leave``, which
+    traps (see :func:`_leave`).  The statements run with the
     machine's state bound to ``r`` (registers), ``stats``, ``read`` /
     ``write`` (checked memory access), ``fast`` (``Memory._fast``),
-    ``syscall``, ``fb`` (``int.from_bytes``), ``div`` / ``rem`` and
-    ``MachineError``; their own locals are ``a o pg v p dest``.  ``p`` is
+    ``syscall``, ``fb`` (``int.from_bytes``), ``div`` / ``rem``,
+    ``leave`` and ``MachineError``; their own locals are
+    ``a o pg v p dest``.  ``p`` is
     set, just before each checked memory access, to the pc a fused
     executor reports a :class:`MemoryFault` at (per-instruction closures
     are located by their dispatch index instead).
@@ -715,25 +721,31 @@ def _fused_lines(inst: Instruction, index: int, base: int) -> list[str]:
     sem = SEMANTICS[inst.op.opcode]
     pc = base + 4 * index
     zero = _zero_dest(sem, inst)
+    target = index + 1 + inst.disp
     holes = {"a": _reg(inst.ra),
              "b": str(inst.lit) if inst.is_lit else _reg(inst.rb),
              "d": f"r[{getattr(inst, sem.dest)}]" if sem.dest else None,
-             "disp": inst.disp, "pc": pc, "target": index + 1 + inst.disp,
+             "disp": inst.disp, "pc": pc,
+             "target": target if target >= 0
+             else f"leave({base + 4 * target:#x})",
              "nxt": index + 1, "link": f"{(pc + 4) & MASK:#x}",
              "base": base, "M": _M, "S": _S}
     return _fill(sem.zero if zero else sem.lines, holes)
 
 
-def _closure_source(opcode: int, lit: bool, zero: bool) -> str:
+def _closure_source(opcode: int, lit: bool, zero: bool,
+                    below: bool = False) -> str:
     """Source of the closure factory of one instruction shape: its
-    opcode, literal form and zero destination.  The holes are filled
-    with the factory's free variables, so one source serves every
-    instruction of the shape."""
+    opcode, literal form, zero destination and, for a branch, whether
+    its target lies below the text.  The holes are filled with the
+    factory's free variables, so one source serves every instruction of
+    the shape."""
     op = opcodes.BY_OPCODE[opcode]
     sem = SEMANTICS[opcode]
     holes = {"a": "r[ra]", "b": "lit" if lit else "r[rb]",
              "d": f"r[{sem.dest}]", "disp": "disp", "pc": "pc",
-             "target": "target", "nxt": "nxt", "link": "link",
+             "target": "leave(base + 4 * target)" if below else "target",
+             "nxt": "nxt", "link": "link",
              "base": "base", "M": _M, "S": _S}
     body = _fill(sem.zero if zero else sem.lines, holes)
     if op is not opcodes.HALT:          # halt traps before it retires
@@ -749,17 +761,27 @@ def _closure_source(opcode: int, lit: bool, zero: bool) -> str:
 
 
 @functools.cache
-def _closure_factory(opcode: int, lit: bool, zero: bool):
+def _closure_factory(opcode: int, lit: bool, zero: bool,
+                     below: bool = False):
     """The compiled closure factory of one instruction shape: compiled
     once per process, on the shape's first use, then called once per
     instruction (a ``compile()`` per instruction would cost some fifty
     times a closure)."""
     namespace = {"fb": int.from_bytes, "div": _divq, "rem": _remq,
-                 "MachineError": MachineError}
-    src = _closure_source(opcode, lit, zero)
+                 "leave": _leave, "MachineError": MachineError}
+    src = _closure_source(opcode, lit, zero, below)
     mnemonic = opcodes.BY_OPCODE[opcode].mnemonic
     exec(compile(src, f"<{mnemonic}>", "exec"), namespace)
     return namespace["make"]
+
+
+def _leave(pc: int):
+    """A taken branch to ``pc``, below the text: the same trap dispatch
+    raises for a target past its end.  A branch target is static, so the
+    closure or superblock of a branch that can leave this way is built
+    to call this in place of returning the target's index (a negative
+    index would wrap to the end of the dispatch table)."""
+    raise MachineError("control left the text segment", pc)
 
 
 def _divq(a: int, b: int, pc: int) -> int:

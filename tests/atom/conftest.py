@@ -94,3 +94,21 @@ def parse_counts(result):
         key, value = line.split()
         out[int(key)] = int(value)
     return out
+
+
+@pytest.fixture
+def prepared_units(monkeypatch):
+    """An empty memo of prepared analysis units, and a list that gets
+    the targets of each rewrite that prepares a unit (a memo miss)
+    instead of reusing one."""
+    from repro.atom import instrument
+    monkeypatch.setattr(instrument, "_prepared", {})
+    prepared = []
+    compute_plans = instrument.compute_plans
+
+    def counting(*args, **kwargs):
+        prepared.append(args[1])
+        return compute_plans(*args, **kwargs)
+
+    monkeypatch.setattr(instrument, "compute_plans", counting)
+    return prepared

@@ -7,9 +7,12 @@ A change to atom, om or the isa layer that moves any instrumented
 executable by one byte, or any statistic, fails here.
 
 Tier-1 rewrites one workload per tool at O0-O4, a different workload
-for each tool.  The ``matrix`` lane (``make check-matrix``) rewrites all
-12 tools x 20 workloads x 5 levels, sharded with ``select_shard`` through
-``WRL_EVAL_SHARD``/``WRL_EVAL_SHARDS`` like the parallel eval matrix.
+for each tool, and at O1 and O4 a second workload that reuses the
+tool's prepared analysis unit.  The ``matrix`` lane (``make
+check-matrix``) rewrites all 12 tools x 20 workloads x 5 levels in one
+process per shard, so most of its rewrites reuse a prepared unit,
+sharded with ``select_shard`` through ``WRL_EVAL_SHARD``/
+``WRL_EVAL_SHARDS`` like the parallel eval matrix.
 
 ``make rewrite-digests`` regenerates the file.  Like the fuzz corpus,
 regenerate it only when a rewrite's output changes on purpose, and say
@@ -88,6 +91,22 @@ def test_tier1_workloads_are_distinct():
 def test_rewrites_match_digests(tool):
     cells = [(tool, TIER1_WORKLOADS[tool], opt) for opt in OPTS]
     assert _mismatches(cells, load_digests()) == []
+
+
+@pytest.mark.parametrize("tool", TOOL_NAMES)
+def test_prepared_unit_rewrites_match_digests(tool, prepared_units):
+    """A rewrite that reuses the tool's prepared analysis unit writes the
+    committed bytes: at O1 and O4 the tool's tier-1 workload prepares
+    the unit and the next tool's tier-1 workload reuses it."""
+    following = TOOL_NAMES[(TOOL_NAMES.index(tool) + 1) % len(TOOL_NAMES)]
+    expected = load_digests()
+    for opt in ("O1", "O4"):
+        for workload, prepares in ((TIER1_WORKLOADS[tool], True),
+                                   (TIER1_WORKLOADS[following], False)):
+            before = len(prepared_units)
+            assert rewrite_digest(tool, workload, opt) == \
+                expected[cell_id(tool, workload, opt)]
+            assert (len(prepared_units) > before) == prepares, workload
 
 
 @pytest.mark.matrix

@@ -73,12 +73,15 @@ def test_apply_tool_opt_levels():
 
 
 def test_apply_tool_decodes_analysis_unit_once(monkeypatch):
-    """The in-process blob goes to the instrumenter serialized: one
-    decode per rewrite, not a decode plus a defensive re-encode and
-    decode."""
+    """The in-process blob goes to the instrumenter serialized, and the
+    instrumenter prepares it once per process: with the memo empty, the
+    first rewrite decodes the blob once (not a decode plus a defensive
+    re-encode and decode), and a second program with the same tool and
+    opt level reuses the prepared unit without decoding the blob."""
+    from repro.atom import instrument
     from repro.objfile.module import Module
+    monkeypatch.setattr(instrument, "_prepared", {})
     tool = get_tool("io")
-    app = build_workload("fileio")
     blob = analysis_unit_for(tool, cache=None).to_bytes()
     decoded = []
     real = Module.from_bytes.__func__
@@ -89,7 +92,9 @@ def test_apply_tool_decodes_analysis_unit_once(monkeypatch):
         return real(cls, data)
 
     monkeypatch.setattr(Module, "from_bytes", classmethod(counting))
-    apply_tool(app, tool, cache=None)
+    apply_tool(build_workload("fileio"), tool, cache=None)
+    assert len(decoded) == 1
+    apply_tool(build_workload("li"), tool, cache=None)
     assert len(decoded) == 1
 
 

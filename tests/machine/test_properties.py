@@ -4,8 +4,9 @@ Hypothesis generates random programs over every WRL-64 opcode but
 ``halt``: operates in register and literal forms (``cmov``, ``divq`` and
 ``remq`` included), ``lda``/``ldah``, every load and store width on a
 mapped data region (page-crossing, partially mapped and faulting
-accesses included), conditional and unconditional branches, ``bsr``
-links, and ``jsr``/``jmp``/``ret`` through computed addresses.  A small
+accesses included), conditional and unconditional branches (forward,
+or out of the text: below its start or past its end), ``bsr`` links,
+and ``jsr``/``jmp``/``ret`` through computed addresses.  A small
 interpreter written from the ISA description, not from the machine's
 templates, predicts how each program ends (its exit status, or the trap
 and the pc it is raised at), every register, the data region and, on
@@ -41,6 +42,10 @@ DATA = 0x10000
 #: that cross a page boundary always take the checked memory path.
 DATA_SIZE = 2 * 4096 + 64
 ITERATIONS = 3
+#: Far more instructions than any generated program retires (every
+#: transfer but the loop's goes forward), so a machine that loops where
+#: the reference does not fails at once instead of running for hours.
+MAX_INSTS = 100_000
 
 #: Registers random programs write; they read these, zero, the loop
 #: counter and the two data bases as well.
@@ -257,6 +262,15 @@ link = st.builds(
     lambda op, ra, n: ("branch", op, ra, n),
     op=st.sampled_from(LINK_BRANCHES), ra=st.sampled_from(DSTS), n=skip)
 
+#: A branch out of the text, below its start or past its end (traps),
+#: taken on the loop's last iteration only: a conditional one tests the
+#: loop counter, zero only then; a linking one sits behind ``bne ctr``.
+leave = st.builds(
+    lambda op, ra, where, n: ("leave", op, ra, where, n),
+    op=st.sampled_from([opcodes.BEQ, opcodes.BLE] + LINK_BRANCHES),
+    ra=st.sampled_from(DSTS), where=st.sampled_from(["below", "past"]),
+    n=skip)
+
 #: ``lda rx, addr`` then ``jmp/jsr/ret ra, (rx)``: forward, or, on the
 #: loop's last iteration only, below the text or past its end (traps);
 #: ``low`` misaligns the address.
@@ -269,7 +283,7 @@ jump = st.builds(
 
 #: Half of all items are operates, which hold most of the opcodes.
 items = st.lists(st.sampled_from([operate] * 6 + [address, memory, memory,
-                                                  branch, link, jump])
+                                                  branch, link, jump, leave])
                  .flatmap(lambda item: item), min_size=1, max_size=30)
 
 
@@ -288,12 +302,16 @@ def assemble(items):
 
     A transfer skips whole items, so it never lands inside a jump
     group.  A group that leaves the text is skipped, by ``bne ctr``,
-    until the last iteration.
+    until the last iteration; so is a linking branch out of it.  A
+    conditional branch out of it tests ``ctr`` itself.
     """
     loop = 3
     starts = [loop + 2]
     for kind, *spec in items:
-        size = 1 if kind != "jump" else 2 if spec[3] == "forward" else 3
+        if kind == "jump":
+            size = 2 if spec[3] == "forward" else 3
+        else:
+            size = 2 if kind == "leave" and spec[0] in LINK_BRANCHES else 1
         starts.append(starts[-1] + size)
     tail = starts[-1]
     end = tail + 3
@@ -310,6 +328,15 @@ def assemble(items):
         if kind == "branch":
             op, ra, n = spec
             target = starts[min(k + 1 + n, len(items))]
+            program.append(Instruction(op, ra=ra,
+                                       disp=target - len(program) - 1))
+        elif kind == "leave":
+            op, ra, where, n = spec
+            target = -1 - n if where == "below" else end + n
+            if op in LINK_BRANCHES:
+                program.append(Instruction(opcodes.BNE, ra=CTR, disp=1))
+            else:
+                ra = CTR
             program.append(Instruction(op, ra=ra,
                                        disp=target - len(program) - 1))
         else:
@@ -341,7 +368,7 @@ def run_machine(program, init, data, fuse):
     for n, v in init.items():
         cpu.regs[n] = v
     try:
-        outcome = ("exit", cpu.run(TEXT))
+        outcome = ("exit", cpu.run(TEXT, max_insts=MAX_INSTS))
     except MachineError as exc:      # a trap: the reference names which
         outcome = ("trap", exc.pc, str(exc))
     return outcome, cpu

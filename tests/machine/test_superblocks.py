@@ -303,6 +303,51 @@ __start:
             machine.run()
 
 
+#: How a run reaches a branch: its closure (per-instruction dispatch),
+#: as a fused terminator (the head fuses on its first entry), through
+#: the tier-up counter's walk (``_step_run``), or under a sampler.
+BRANCH_PATHS = {"closure": (False, 256, False), "fused": (True, 0, False),
+                "step-run": (True, 10 ** 9, False),
+                "sampled": (True, 0, True)}
+
+
+@pytest.mark.parametrize("path", BRANCH_PATHS)
+@pytest.mark.parametrize("op", ["br", "bsr", "beq"])
+def test_branch_below_text_traps(op, path):
+    """A taken branch to an index below the text traps like one past its
+    end, at the target's address, after the branch retires.  A negative
+    index used to wrap to the end of the dispatch table: here index -2
+    is the ``lda v0, 1``, so the program exited instead."""
+    from repro.isa import encoding, opcodes, registers as R
+    from repro.isa.instruction import Instruction
+    from repro.machine.costmodel import DEFAULT
+    from repro.machine.cpu import Cpu
+    from repro.machine.memory import Memory
+    from repro.machine.syscalls import Kernel
+    from repro.obs.runtime import PcSampler
+    text = 0x1000
+    bump = Instruction(opcodes.ADDQ, ra=R.T9, lit=1, is_lit=True, rc=R.T9)
+    link = R.ZERO if op == "beq" else R.RA
+    blob = encoding.encode_stream([
+        bump, bump, Instruction(opcodes.BY_MNEMONIC[op], ra=link, disp=-5),
+        Instruction(opcodes.LDA, ra=R.V0, rb=R.ZERO, disp=1),
+        Instruction(opcodes.SYS)])
+    fuse, fuse_work, sampled = BRANCH_PATHS[path]
+    memory = Memory()
+    memory.map_region(text, len(blob), "text")
+    memory.write(text, blob)
+    cpu = Cpu(memory, Kernel(memory), text, blob, DEFAULT, fuse=fuse)
+    cpu.fuse_work = fuse_work
+    sampler = PcSampler(interval=97) if sampled else None
+    with pytest.raises(MachineError,
+                       match="control left the text segment") as err:
+        cpu.run(text, max_insts=1000, sampler=sampler)
+    assert err.value.pc == text - 8
+    assert cpu.stats == [3, 3]
+    assert cpu.regs[R.RA] == (0 if op == "beq" else text + 12)
+    assert cpu.sb_compiled == (path in ("fused", "sampled"))
+
+
 def test_every_fusible_opcode_has_a_template():
     """Every opcode has a semantics entry, and every shape it can take
     compiles both as fused lines (for the memory, operate, branch and

@@ -100,6 +100,25 @@ def test_untraced_run_leaves_no_events(tmp_path):
     assert TRACE.events == []
 
 
+def test_saves_span_reads_miss_then_hit(traced, monkeypatch):
+    """Two rewrites of different programs with one tool and one opt
+    level: the first prepares the analysis unit, the second reuses it,
+    and the ``instrument.saves`` span and the counters say which."""
+    from repro.atom import instrument
+    from repro.eval import apply_tool
+    from repro.tools import get_tool
+    from repro.workloads import build_workload
+    monkeypatch.setattr(instrument, "_prepared", {})
+    tool = get_tool("prof")
+    for workload in ("fib", "sieve"):
+        apply_tool(build_workload(workload), tool, cache=None)
+    saves = [e["args"]["prepared"] for e in traced.events
+             if e["name"] == "instrument.saves"]
+    assert saves == ["miss", "hit"]
+    assert traced.counters["atom.prepared.misses"] == 1
+    assert traced.counters["atom.prepared.hits"] == 1
+
+
 def test_load_and_run_spans_split_interpretation(traced):
     """``run_module`` records the load as its own ``machine.load`` span
     (with the text's instruction count) beside ``machine.run`` (with the
