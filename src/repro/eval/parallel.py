@@ -168,6 +168,12 @@ class TaskResult:
     #: :meth:`identity` and stripped from the matrix report.
     trace: dict | None = None
 
+    @classmethod
+    def of(cls, spec: TaskSpec, **fields) -> "TaskResult":
+        """A record of ``spec``'s cell with ``fields`` set."""
+        return cls(tool=spec.tool, workload=spec.workload, opt=spec.opt,
+                   heap_mode=spec.heap_mode, **fields)
+
     def identity(self) -> tuple:
         """Everything that must be bit-identical across runners."""
         return (self.tool, self.workload, self.opt, self.heap_mode,
@@ -289,8 +295,7 @@ def _heartbeat(spec: TaskSpec):
 
 
 def _execute_task(spec: TaskSpec, cache_spec, fuse: bool) -> TaskResult:
-    rec = TaskResult(tool=spec.tool, workload=spec.workload, opt=spec.opt,
-                     heap_mode=spec.heap_mode)
+    rec = TaskResult.of(spec)
     cache = _resolve_worker_cache(cache_spec)
     analysis_before = runner.COMPILE_COUNTS["analysis"]
     t0 = time.perf_counter()
@@ -400,13 +405,90 @@ def run_with_retries(spec: TaskSpec, cache_spec=None, fuse: bool = True,
 # ---- the work-queue runner ------------------------------------------------
 
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool whose worker is wedged past its wall timeout."""
+    """Terminate a broken or wedged pool's workers and shut it down."""
     for proc in list(getattr(pool, "_processes", {}).values()):
         try:
             proc.terminate()
         except OSError:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def worker_died(spec: TaskSpec, attempts: int) -> TaskResult:
+    """The record of a cell whose worker died on its every attempt."""
+    return TaskResult.of(spec, status="error", error="worker process died",
+                         attempts=attempts, quarantined=True)
+
+
+class PoolBreakPolicy:
+    """Guilt attribution when a crashed worker breaks a process pool.
+
+    One dead worker takes the whole ``ProcessPoolExecutor`` down: every
+    future still on it raises ``BrokenProcessPool``, so the guilty item
+    cannot be told apart from the innocents beside it.  ``run_matrix``
+    and the serve daemon both drive this one policy:
+
+    * a break implicates every item dispatched on the dead pool;
+    * the driver rebuilds the pool once per break: the other futures of
+      a dead pool report its stale generation, and :meth:`broke`
+      ignores them;
+    * implicated items become suspects, probed one at a time with
+      nothing else dispatched while :attr:`probing`;
+    * only a break while alone in flight costs an attempt; past its
+      ``retries(item)`` that item is dead (:func:`worker_died`).
+
+    Items are hashable keys (a spec index, a daemon entry); each
+    carries its 1-based attempt number.
+    """
+
+    def __init__(self, retries):
+        self.retries = retries
+        self.generation = 0
+        self.inflight: dict = {}           # item -> attempt
+        self.suspects: deque = deque()     # (item, attempt) to probe
+        self.probing = False
+
+    def dispatch(self, item, attempt: int = 1) -> int:
+        """Record ``item`` as sent to the current pool; returns the pool
+        generation its future reports to :meth:`broke`."""
+        self.inflight[item] = attempt
+        return self.generation
+
+    def landed(self, item) -> int:
+        """``item`` came back without breaking the pool: its attempt."""
+        attempt = self.inflight.pop(item)
+        if not self.inflight and not self.suspects:
+            self.probing = False
+        return attempt
+
+    def next_probe(self):
+        """The (item, attempt) to dispatch alone next, or None while a
+        probe is in flight or no suspect is left."""
+        if self.inflight or not self.suspects:
+            return None
+        return self.suspects.popleft()
+
+    def broke(self, generation: int):
+        """A future dispatched on pool ``generation`` raised
+        ``BrokenProcessPool``.  None when that pool is already replaced;
+        otherwise the driver rebuilds the pool and quarantines the
+        returned dead (item, attempt) pairs."""
+        if generation != self.generation:
+            return None
+        self.generation += 1
+        implicated = list(self.inflight.items())
+        self.inflight.clear()
+        dead = []
+        if len(implicated) == 1:
+            (item, attempt), = implicated
+            if attempt > self.retries(item):
+                dead.append((item, attempt))
+            else:
+                self.suspects.append((item, attempt + 1))
+        else:
+            self.suspects.extend(implicated)
+        self.probing = bool(self.suspects)
+        return dead
 
 
 def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
@@ -422,16 +504,9 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
     retried.  ``wall_timeout`` seconds per task is the non-deterministic
     backstop: an overdue worker is killed, the pool is rebuilt, the
     overdue task is quarantined as a timeout, and its innocent in-flight
-    siblings are requeued *without* consuming an attempt.
-
-    A crashed worker breaks the whole pool, so every sibling future
-    raises ``BrokenProcessPool`` and the guilty task cannot be told
-    apart from the innocents.  No task is charged an attempt for a
-    batch break; instead every implicated task becomes a *suspect* and
-    is probed serially (one submission at a time, nothing else in
-    flight).  A task that breaks the pool while alone in flight is
-    definitively guilty: that break consumes one of its attempts, and
-    past ``retries`` it is quarantined as ``worker process died``.
+    siblings are requeued *without* consuming an attempt.  A crashed
+    worker breaks the whole pool; :class:`PoolBreakPolicy` decides who
+    pays for it.
 
     When tracing is enabled (:data:`repro.obs.TRACE`), each worker
     captures its own spans and ships them back in ``TaskResult.trace``;
@@ -461,87 +536,56 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
 
     pending: deque[tuple[int, int]] = deque(
         (idx, 1) for idx in range(len(specs)))
-    #: Tasks implicated in a pool break, probed one at a time so a
-    #: repeat break attributes guilt exactly.
-    suspects: deque[tuple[int, int]] = deque()
+    breaks = PoolBreakPolicy(lambda idx: retries)
     pool = ProcessPoolExecutor(max_workers=jobs)
-    inflight: dict = {}              # future -> (idx, attempt, start time)
+    inflight: dict = {}              # future -> (idx, generation, start)
 
-    def reinstate(items) -> None:
-        """Return innocents to the *front* of the queue in spec order,
-        at their current attempt — being collateral costs nothing."""
-        for idx, attempt in sorted(items, reverse=True):
-            pending.appendleft((idx, attempt))
-
-    def quarantine_dead(idx: int, attempt: int) -> None:
-        spec = specs[idx]
-        finish(idx, TaskResult(
-            tool=spec.tool, workload=spec.workload, opt=spec.opt,
-            heap_mode=spec.heap_mode, status="error",
-            error="worker process died", quarantined=True), attempt)
+    def submit(idx: int, attempt: int) -> None:
+        fut = pool.submit(execute_task, specs[idx], cache_spec, fuse,
+                          trace_on, trace_id)
+        inflight[fut] = (idx, breaks.dispatch(idx, attempt),
+                         time.monotonic())
 
     def rebuild_pool() -> ProcessPoolExecutor:
+        for fut in inflight:
+            fut.cancel()
+        inflight.clear()
         _kill_pool(pool)
         return ProcessPoolExecutor(max_workers=jobs)
 
     try:
-        while pending or suspects or inflight:
-            if suspects:
-                # Probe mode: exactly one suspect in flight at a time.
-                if not inflight:
-                    idx, attempt = suspects.popleft()
-                    fut = pool.submit(execute_task, specs[idx],
-                                      cache_spec, fuse, trace_on,
-                                      trace_id)
-                    inflight[fut] = (idx, attempt, time.monotonic())
+        while pending or breaks.suspects or inflight:
+            if breaks.probing:
+                probe = breaks.next_probe()
+                if probe is not None:
+                    submit(*probe)
             else:
                 while pending and len(inflight) < jobs:
-                    idx, attempt = pending.popleft()
-                    fut = pool.submit(execute_task, specs[idx],
-                                      cache_spec, fuse, trace_on,
-                                      trace_id)
-                    inflight[fut] = (idx, attempt, time.monotonic())
+                    submit(*pending.popleft())
 
             done, _ = wait(list(inflight), timeout=0.1,
                            return_when=FIRST_COMPLETED)
-            breakers: list[tuple[int, int]] = []
+            broken = None
             for fut in done:
-                idx, attempt, _ = inflight.pop(fut)
-                spec = specs[idx]
+                idx, generation, _ = inflight.pop(fut)
                 try:
                     rec = fut.result()
                 except BrokenProcessPool:
-                    breakers.append((idx, attempt))
+                    broken = generation
                     continue
                 except Exception as exc:             # noqa: BLE001
-                    rec = TaskResult(
-                        tool=spec.tool, workload=spec.workload,
-                        opt=spec.opt, heap_mode=spec.heap_mode,
-                        status="error",
+                    rec = TaskResult.of(
+                        specs[idx], status="error",
                         error=f"{type(exc).__name__}: {exc}")
+                attempt = breaks.landed(idx)
                 if rec.status == "error" and attempt <= retries:
                     pending.append((idx, attempt + 1))
                     continue
                 rec.quarantined = rec.status != "ok"
                 finish(idx, rec, attempt)
-            if breakers:
-                # Everything still in flight went down with the pool.
-                for fut, (idx, attempt, _) in list(inflight.items()):
-                    fut.cancel()
-                    breakers.append((idx, attempt))
-                inflight.clear()
-                if len(breakers) == 1:
-                    # Alone in flight: definitively guilty — this break
-                    # consumes an attempt.
-                    idx, attempt = breakers[0]
-                    if attempt <= retries:
-                        suspects.append((idx, attempt + 1))
-                    else:
-                        quarantine_dead(idx, attempt)
-                else:
-                    # Guilt is unattributable in a batch: nobody is
-                    # charged; everyone gets probed serially.
-                    suspects.extend(sorted(breakers))
+            if broken is not None:
+                for idx, attempt in breaks.broke(broken):
+                    finish(idx, worker_died(specs[idx], attempt), attempt)
                 pool = rebuild_pool()
                 continue
 
@@ -551,22 +595,20 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
                            if now - t0 > wall_timeout]
                 if overdue:
                     for fut in overdue:
-                        idx, attempt, t0 = inflight.pop(fut)
-                        spec = specs[idx]
-                        rec = TaskResult(
-                            tool=spec.tool, workload=spec.workload,
-                            opt=spec.opt, heap_mode=spec.heap_mode,
-                            status="timeout",
+                        idx, _, t0 = inflight.pop(fut)
+                        rec = TaskResult.of(
+                            specs[idx], status="timeout",
                             error=(f"wall timeout after "
                                    f"{wall_timeout:.1f}s"),
                             wall_s=now - t0, quarantined=True)
-                        finish(idx, rec, attempt)
-                    innocents = []
-                    for fut, (idx, attempt, _) in list(inflight.items()):
-                        fut.cancel()
-                        innocents.append((idx, attempt))
-                    inflight.clear()
-                    reinstate(innocents)
+                        finish(idx, rec, breaks.landed(idx))
+                    # Innocents return to the *front* of the queue in
+                    # spec order, at their current attempt: being
+                    # collateral costs nothing.
+                    innocents = [(idx, breaks.landed(idx))
+                                 for idx, _, _ in inflight.values()]
+                    for item in sorted(innocents, reverse=True):
+                        pending.appendleft(item)
                     pool = rebuild_pool()
     finally:
         _kill_pool(pool)
@@ -601,11 +643,9 @@ def run_matrix_via_server(specs, server, *, tenant=None, jobs: int = 4,
                                       retries=retries, trace_id=trace_id)
             rec = TaskResult(**record)
         except ServeError as exc:
-            rec = TaskResult(tool=spec.tool, workload=spec.workload,
-                             opt=spec.opt, heap_mode=spec.heap_mode,
-                             status="error",
-                             error=f"serve:{exc.kind}: {exc}",
-                             quarantined=True)
+            rec = TaskResult.of(spec, status="error",
+                                error=f"serve:{exc.kind}: {exc}",
+                                quarantined=True)
         rec.shard = shard_of(spec, num_shards)
         return idx, rec
 

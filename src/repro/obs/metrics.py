@@ -26,12 +26,10 @@ parseable by any Prometheus scraper, and by :func:`parse_text` in
 tests), and :meth:`MetricsRegistry.render_doc` emits a JSON document
 carrying the same samples plus the windowed rates.
 
-The zero-cost-when-disabled discipline matches :mod:`repro.obs`: a
-registry built with ``enabled=False`` hands out shared null instruments
-whose ``inc``/``set``/``observe``/``labels`` are empty methods, so a
-metrics-off daemon pays one no-op call per hook site.  The
-``make check-metrics`` lane enforces the enabled path's cost on daemon
-throughput the same way ``repro.obs.overhead`` gates the tracer.
+The registry is always on: it is the serve daemon's one record of its
+events, and the daemon's ``stats`` op is a projection of it (lifetime
+counts and sums, percentiles over each histogram's retained
+observations).
 """
 
 from __future__ import annotations
@@ -107,58 +105,7 @@ class _Ring:
         return self.total(window) / window
 
 
-# ---- null instruments (disabled registry) -----------------------------------
-
-class _NullChild:
-    __slots__ = ()
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-
-_NULL_CHILD = _NullChild()
-
-
-class _NullMetric:
-    """Stands in for every instrument kind when the registry is off."""
-
-    __slots__ = ()
-
-    def labels(self, *values):
-        return _NULL_CHILD
-
-    def inc(self, n: float = 1.0) -> None:
-        pass
-
-    def dec(self, n: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def rate(self, window: int) -> float:
-        return 0.0
-
-    def window_values(self, window: int) -> list:
-        return []
-
-
-_NULL_METRIC = _NullMetric()
-
-
-# ---- live instruments -------------------------------------------------------
+# ---- instruments ------------------------------------------------------------
 
 class _Metric:
     """Common labeled-instrument machinery; children are cached per
@@ -203,6 +150,9 @@ class _CounterChild:
         self._value += n
         self._ring.add(n)
 
+    def rate(self, window: int) -> float:
+        return self._ring.rate(window)
+
 
 class Counter(_Metric):
     kind = "counter"
@@ -215,10 +165,14 @@ class Counter(_Metric):
 
     def rate(self, window: int) -> float:
         """Aggregate events/sec across every label child."""
-        return sum(c._ring.rate(window) for c in self._children.values())
+        return sum(c.rate(window) for c in self._children.values())
 
     def total(self) -> float:
         return sum(c._value for c in self._children.values())
+
+    def by_label(self) -> dict[tuple, float]:
+        """Each label child's total, keyed by its label values."""
+        return {values: c._value for values, c in self._children.items()}
 
 
 class _GaugeChild:
@@ -314,28 +268,37 @@ class Histogram(_Metric):
             out.extend(child.window_values(window))
         return out
 
+    def summary(self, *values) -> tuple[int, float, list[float]]:
+        """(count, sum, retained observations sorted) of the label child
+        ``values``, or of every child together when none are given.
+        Count and sum cover the whole lifetime; each child retains its
+        last ``_HIST_KEEP`` observations."""
+        if values:
+            child = self._children.get(tuple(str(v) for v in values))
+            children = [child] if child is not None else []
+        else:
+            children = list(self._children.values())
+        return (sum(c._count for c in children),
+                sum(c._sum for c in children),
+                sorted(v for c in children for _, v in c._recent))
+
 
 # ---- the registry -----------------------------------------------------------
 
 class MetricsRegistry:
     """Instrument factory + exposition surface for one process.
 
-    ``enabled=False`` hands out shared null instruments: every hook
-    site still works, at the cost of one empty method call.  ``clock``
-    is injectable for deterministic tests (defaults to
+    ``clock`` is injectable for deterministic tests (defaults to
     ``time.monotonic``).
     """
 
-    def __init__(self, *, enabled: bool = True, clock=None):
-        self.enabled = enabled
+    def __init__(self, *, clock=None):
         self._clock = clock or time.monotonic
         self._metrics: dict[str, _Metric] = {}
 
     # ---- instrument factories ----------------------------------------------
 
     def _get(self, cls, name, help, labelnames, **kw):
-        if not self.enabled:
-            return _NULL_METRIC
         if not _NAME_RE.match(name):
             raise MetricsError(f"bad metric name {name!r}")
         for label in labelnames:
@@ -369,8 +332,6 @@ class MetricsRegistry:
 
     def render_text(self) -> str:
         """Prometheus text exposition (format version 0.0.4)."""
-        if not self.enabled:
-            return "# wrl metrics disabled\n"
         lines: list[str] = []
         for name in sorted(self._metrics):
             metric = self._metrics[name]
@@ -388,10 +349,10 @@ class MetricsRegistry:
 
     def render_doc(self) -> dict:
         """JSON exposition: samples plus rolling-window rates."""
-        doc = {"schema": METRICS_SCHEMA, "enabled": self.enabled,
+        # "enabled" is always true; the key stays for wrl-metrics/v1
+        # readers.
+        doc = {"schema": METRICS_SCHEMA, "enabled": True,
                "windows_s": list(WINDOWS), "metrics": {}}
-        if not self.enabled:
-            return doc
         from . import hist_summary
         for name in sorted(self._metrics):
             metric = self._metrics[name]

@@ -20,15 +20,14 @@ measures exactly what the observability layer adds around it.  PC
 sampling costs one ``sampler is None`` test at the top of
 :meth:`Cpu.run`, once per run, on both sides.
 
-Throughput is best-of-N per variant (:func:`best_of`, which
-``repro.serve.overhead`` shares), timed with the garbage collector off
-so a collection landing in one variant's rep cannot decide the
-comparison; the run fails when the hooked path's insts/sec falls more
-than ``--budget`` (default 2%) below the detached path on any
-workload.  The committed ``BENCH_interp.json`` baseline, when present,
-is reported alongside — and enforced at the same budget with
-``--strict`` (for same-machine regression gating; the default stays
-off because wall-clock numbers do not transfer between hosts).
+Throughput is best-of-N per variant (:func:`best_of`), timed with the
+garbage collector off so a collection landing in one variant's rep
+cannot decide the comparison; the run fails when the hooked path's
+insts/sec falls more than ``--budget`` (default 2%) below the detached
+path on any workload.  The committed ``BENCH_interp.json`` baseline,
+when present, is reported alongside — and enforced at the same budget
+with ``--strict`` (for same-machine regression gating; the default
+stays off because wall-clock numbers do not transfer between hosts).
 """
 
 from __future__ import annotations

@@ -71,6 +71,10 @@ BUCKETS = (BUCKET_ORIG, BUCKET_BRACKET, BUCKET_SPLICE, BUCKET_ANALYSIS,
            BUCKET_UNKNOWN)
 OVERHEAD_BUCKETS = (BUCKET_BRACKET, BUCKET_SPLICE, BUCKET_ANALYSIS)
 
+#: The text landmarks ``objfile.linker`` defines in the analysis unit;
+#: they name addresses, not routines.
+_TEXT_LANDMARKS = ("__text_start", "__text_end")
+
 ENV_HEARTBEAT = "WRL_HEARTBEAT"
 ENV_HEARTBEAT_INSTS = "WRL_HEARTBEAT_INSTS"
 DEFAULT_HEARTBEAT_INSTS = 10_000_000
@@ -218,7 +222,12 @@ class Attributor:
         self._func_starts = [f[0] for f in self._funcs]
         self._splices = sorted(splices)
         self._splice_starts = [s[0] for s in self._splices]
-        self._anal = sorted(anal)
+        # One name per address.  The analysis unit's first routine
+        # shares its address with the linker's text landmark; the
+        # routine's name wins, as ``isa.disasm.symbol_map`` prefers
+        # procedures.  Landmarks sort first, so the routine is kept.
+        anal.sort(key=lambda a: (a[0], a[1] not in _TEXT_LANDMARKS, a[1]))
+        self._anal = sorted(dict(anal).items())
         self._anal_starts = [a[0] for a in self._anal]
 
     # -- lookups ------------------------------------------------------------

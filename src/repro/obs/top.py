@@ -181,13 +181,10 @@ class RateTracker:
 
 def _poll(client):
     """(stats, metrics_doc|None) — metrics degrades to None when the
-    registry is disabled or the op is unavailable."""
+    op is unavailable."""
     stats = client.stats()
-    metrics_doc = None
     try:
-        reply = client.metrics()
-        if reply.get("enabled"):
-            metrics_doc = reply.get("metrics")
+        metrics_doc = client.metrics().get("metrics")
     except Exception:                          # noqa: BLE001
         metrics_doc = None
     return stats, metrics_doc

@@ -19,17 +19,20 @@ behind a unix-domain socket speaking the newline-JSON protocol of
 * **Per-tenant quotas** — every tenant's artifacts live in their own
   cache namespace (:mod:`repro.serve.quota`); a tenant over its entry or
   byte quota evicts only its own blobs.
-* **Observability** — queue depth, batch size, dedup hit rate and
-  latency percentiles are kept as counters/histograms (mirrored into
-  :data:`repro.obs.TRACE` when tracing) and served by the ``stats`` op;
-  progress streams as heartbeat frames in the ``WRL_HEARTBEAT`` JSONL
-  row format.  A :class:`repro.obs.metrics.MetricsRegistry` additionally
-  keeps labeled rolling-window instruments served by the ``metrics`` op
-  (Prometheus text + JSON), every request carries a ``trace_id``
-  (client-minted or server-assigned) stamped on its daemon spans,
-  heartbeats, and worker trace snapshot, and an optional SLO watchdog
-  (``--slo-p99-ms``/``--slo-error-rate``) emits structured breach
-  events.
+* **Pool breaks** — a crashed worker breaks the whole pool; the
+  daemon drives the same :class:`repro.eval.parallel.PoolBreakPolicy`
+  as ``run_matrix``, so an innocent request beside a crasher ends
+  exactly as it would without one.
+* **Observability** — one :class:`repro.obs.metrics.MetricsRegistry`
+  records every event as a labeled counter, gauge or rolling-window
+  histogram (mirrored into :data:`repro.obs.TRACE` when tracing).  The
+  ``metrics`` op exposes it (Prometheus text + JSON) and the ``stats``
+  op is a projection of it; progress streams as heartbeat frames in the
+  ``WRL_HEARTBEAT`` JSONL row format.  Every request carries a
+  ``trace_id`` (client-minted or server-assigned) stamped on its daemon
+  spans, heartbeats, and worker trace snapshot, and an optional SLO
+  watchdog (``--slo-p99-ms``/``--slo-error-rate``) emits structured
+  breach events.
 
 Execution inside a worker goes through the very same
 :func:`repro.eval.parallel.run_with_retries` /
@@ -50,22 +53,23 @@ import signal
 import sys
 import threading
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
 from ..eval import runner
-from ..eval.parallel import TaskResult, default_jobs, run_with_retries
-from ..obs import (TRACE, hist_summary, mint_trace_id, percentile,
-                   trace_path_from_env)
+from ..eval.parallel import (PoolBreakPolicy, _kill_pool, default_jobs,
+                             run_with_retries, worker_died)
+from ..obs import TRACE, mint_trace_id, percentile, trace_path_from_env
 from ..obs.metrics import MetricsRegistry
-from .protocol import (DEFAULT_SOCKET_NAME, MAX_REQUEST_BYTES, OPS,
-                       SERVE_SCHEMA, ProtocolError, decode_frame,
-                       encode_frame, error_frame, eval_dedup_key,
-                       heartbeat_frame, run_dedup_key, spec_from_wire,
-                       validate_tenant, validate_trace_id)
+from .protocol import (DEFAULT_SOCKET_NAME, ERROR_KINDS,
+                       MAX_REQUEST_BYTES, OPS, SERVE_SCHEMA,
+                       ProtocolError, decode_frame, encode_frame,
+                       error_frame, eval_dedup_key, heartbeat_frame,
+                       options_from_wire, run_dedup_key, run_from_wire,
+                       spec_from_wire, validate_tenant,
+                       validate_trace_id)
 from .quota import DEFAULT_TENANT_CAP, TenantCaches
 
 DEFAULT_BATCH_WINDOW = 0.005          # seconds
@@ -171,8 +175,7 @@ class _Entry:
     """One unit of in-flight work; N deduped subscribers share it."""
 
     __slots__ = ("key", "op", "label", "payload", "tenant", "retries",
-                 "attempts", "subs", "t0", "trace_id", "t0_ns",
-                 "t_dispatch_ns")
+                 "subs", "t0", "trace_id", "t0_ns", "t_dispatch_ns")
 
     def __init__(self, key: str, op: str, label: str, payload,
                  tenant: str, retries: int, trace_id: str):
@@ -182,7 +185,6 @@ class _Entry:
         self.payload = payload
         self.tenant = tenant
         self.retries = retries
-        self.attempts = 1             # pool-break resubmission counter
         self.subs: list[_Sub] = []
         self.t0 = time.monotonic()
         #: Request trace context: the executing client's id (or a
@@ -197,57 +199,40 @@ class _Entry:
             sub.queue.put_nowait(frame)
 
 
-class ServeStats:
-    """Daemon-lifetime counters and bounded histogram samples."""
-
-    def __init__(self):
-        self.started = time.monotonic()
-        self.requests: dict[str, int] = {}
-        self.dedup_hits = 0
-        self.overloaded = 0
-        self.cancelled = 0
-        self.executed = 0
-        self.errors = 0
-        self.batches = 0
-        self.pool_rebuilds = 0
-        self.slo_breaches: dict[str, int] = {}
-        self.batch_sizes: deque = deque(maxlen=4096)
-        self.queue_depths: deque = deque(maxlen=4096)
-        self.latencies_ms: deque = deque(maxlen=4096)
-        #: Per-op latency samples ("run" vs "eval"), so slow evals
-        #: cannot hide behind fast run/ping traffic in the percentiles.
-        self.latencies_by_op: dict[str, deque] = {
-            "eval": deque(maxlen=4096), "run": deque(maxlen=4096)}
+#: Error kinds an admitted request can end in.  The SLO error rate is
+#: over these alone: a rejected request never reached the pool.
+ADMITTED_ERRORS = ("worker-died", "machine-error", "internal")
 
 
-def _lat_summary(latencies) -> dict:
-    """count/mean/max plus nearest-rank p50/p90/p99 (zeros when empty)."""
-    lats = sorted(latencies)
-    n = len(lats)
+def _project(hist, *labels) -> dict:
+    """A histogram as the ``stats`` op shows it: count and mean over its
+    lifetime, max and nearest-rank percentiles over its retained
+    observations (zeros when empty)."""
+    count, total, kept = hist.summary(*labels)
     return {
-        "count": n,
-        "mean": round(sum(lats) / n, 3) if n else 0.0,
-        "max": round(lats[-1], 3) if n else 0.0,
-        "p50": round(percentile(lats, 0.50), 3),
-        "p90": round(percentile(lats, 0.90), 3),
-        "p99": round(percentile(lats, 0.99), 3),
+        "count": count,
+        "mean": round(total / count, 3) if count else 0.0,
+        "max": round(kept[-1], 3) if kept else 0.0,
+        "p50": round(percentile(kept, 0.50), 3),
+        "p90": round(percentile(kept, 0.90), 3),
+        "p99": round(percentile(kept, 0.99), 3),
     }
 
 
 class ServeMetrics:
-    """The daemon's labeled rolling-window instruments.
+    """The daemon's one record of its events.
 
     A thin façade over :class:`repro.obs.metrics.MetricsRegistry`: one
     attribute per instrument so hot-path call sites read as intent
     (``metrics.dedup_hits.inc()``), and gauges whose truth lives
     elsewhere (tenant cache usage) are refreshed at exposition time
-    rather than sampled on the request path.
+    rather than sampled on the request path.  The ``stats`` op is a
+    projection of it (:meth:`Daemon.stats_doc`).
     """
 
-    def __init__(self, enabled: bool = True):
-        reg = MetricsRegistry(enabled=enabled)
+    def __init__(self):
+        reg = MetricsRegistry()
         self.registry = reg
-        self.enabled = enabled
         self.requests = reg.counter(
             "wrl_requests_total", "Requests received, by op", ("op",))
         self.tenant_requests = reg.counter(
@@ -267,7 +252,9 @@ class ServeMetrics:
             "wrl_cancelled_total",
             "Subscriptions cancelled by client disconnect")
         self.errors = reg.counter(
-            "wrl_request_errors_total", "Requests finished with an error")
+            "wrl_request_errors_total",
+            "Requests finished with an error, by kind (sheds are "
+            "wrl_overloaded_total)", ("kind",))
         self.executed = reg.counter(
             "wrl_executed_total", "Requests finished with a result")
         self.batches = reg.counter(
@@ -292,10 +279,13 @@ class ServeMetrics:
             ("metric",))
         # The request counter sits on every op's dispatch path, so its
         # per-op children are pre-bound: the hot path is one inc(), not
-        # a label coercion + child lookup per request (the check-metrics
-        # overhead gate measures exactly this on pings).
+        # a label coercion + child lookup per request.  Every error kind
+        # is bound too, so each reads 0 before its first frame.
         self.requests_by_op = {op: self.requests.labels(op)
                                for op in OPS}
+        self.errors_by_kind = {kind: self.errors.labels(kind)
+                               for kind in ERROR_KINDS
+                               if kind != "overloaded"}
 
     def refresh_tenant_gauges(self, usage_all: dict) -> None:
         for tenant, usage in usage_all.items():
@@ -316,7 +306,6 @@ class Daemon:
                  tenant_cap: int = DEFAULT_TENANT_CAP,
                  tenant_max_bytes: int | None = None,
                  limit: int = MAX_REQUEST_BYTES,
-                 metrics: bool = True,
                  slo_p99_ms: float | None = None,
                  slo_error_rate: float | None = None):
         self.socket_path = Path(socket_path or DEFAULT_SOCKET_NAME)
@@ -328,20 +317,18 @@ class Daemon:
         self.limit = limit
         self.tenants = TenantCaches(cache_root, cap=tenant_cap,
                                     max_bytes=tenant_max_bytes)
-        self.stats = ServeStats()
+        self.started = time.monotonic()
+        self.metrics = ServeMetrics()
         self.slo_p99_ms = slo_p99_ms
         self.slo_error_rate = slo_error_rate
-        slo_configured = slo_p99_ms is not None \
-            or slo_error_rate is not None
-        # The watchdog needs the rolling windows, so configuring an SLO
-        # force-enables the registry even under --no-metrics.
-        self.metrics = ServeMetrics(enabled=metrics or slo_configured)
         self._slo_last_breach: dict | None = None
         self._slo_last_emit: dict[str, float] = {}
         self.pool: ProcessPoolExecutor | None = None
+        #: Every admitted entry until it finishes, by dedup key: queued,
+        #: dispatched or awaiting a probe.  Its size is the queue depth.
         self._inflight: dict[str, _Entry] = {}
         self._batch_buf: list[_Entry] = []
-        self._dispatched = 0
+        self._breaks = PoolBreakPolicy(lambda entry: entry.retries)
         self._flush_handle = None
         self._server = None
         self._stop: asyncio.Event | None = None
@@ -394,6 +381,7 @@ class Daemon:
             self._flush_handle.cancel()
             self._flush_handle = None
         for entry in list(self._inflight.values()):
+            self.metrics.errors_by_kind["shutting-down"].inc()
             entry.publish(error_frame(None, "shutting-down",
                                       "daemon stopping"))
         self._inflight.clear()
@@ -403,23 +391,23 @@ class Daemon:
             self.pool = None
         self.socket_path.unlink(missing_ok=True)
 
-    def _rebuild_pool(self) -> None:
-        dead, self.pool = self.pool, ProcessPoolExecutor(
-            max_workers=self.jobs, initializer=_warm_worker)
-        self.stats.pool_rebuilds += 1
-        TRACE.count("serve.pool_rebuilds")
-        self.metrics.pool_rebuilds.inc()
-        if dead is not None:
-            for proc in list(getattr(dead, "_processes", {}).values()):
-                with contextlib.suppress(OSError):
-                    proc.terminate()
-            dead.shutdown(wait=False, cancel_futures=True)
-
     # ---- connection handling ----------------------------------------------
 
     async def _send(self, writer, frame: dict) -> None:
         writer.write(encode_frame(frame))
         await writer.drain()
+
+    async def _reject(self, writer, req_id, kind: str,
+                      message: str) -> None:
+        """Answer a request that was never admitted with an error
+        frame, counted once by kind."""
+        if kind == "overloaded":
+            TRACE.count("serve.overloaded")
+            self.metrics.overloaded.inc()
+        else:
+            self.metrics.errors_by_kind[kind].inc()
+        with contextlib.suppress(ConnectionError, OSError):
+            await self._send(writer, error_frame(req_id, kind, message))
 
     async def _handle(self, reader, writer) -> None:
         req_id = None
@@ -429,10 +417,8 @@ class Daemon:
             except ValueError:
                 # StreamReader's limit tripped: the request line never
                 # terminated within MAX_REQUEST_BYTES.
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._send(writer, error_frame(
-                        None, "oversized",
-                        f"request exceeds {self.limit} bytes"))
+                await self._reject(writer, None, "oversized",
+                                   f"request exceeds {self.limit} bytes")
                 return
             if not line:
                 return
@@ -443,8 +429,6 @@ class Daemon:
                 if op not in OPS:
                     raise ProtocolError("unknown-op",
                                         f"unknown op {op!r}")
-                self.stats.requests[op] = \
-                    self.stats.requests.get(op, 0) + 1
                 TRACE.count(f"serve.requests.{op}")
                 self.metrics.requests_by_op[op].inc()
                 if op == "ping":
@@ -468,11 +452,7 @@ class Daemon:
                     return
                 entry, sub = self._register(op, req)
             except ProtocolError as exc:
-                if exc.kind != "overloaded":
-                    self.stats.errors += 1
-                with contextlib.suppress(ConnectionError, OSError):
-                    await self._send(writer, error_frame(
-                        req_id, exc.kind, str(exc)))
+                await self._reject(writer, req_id, exc.kind, str(exc))
                 return
             await self._stream(entry, sub, reader, writer)
         finally:
@@ -517,7 +497,6 @@ class Daemon:
     def _unsubscribe(self, entry: _Entry, sub: _Sub) -> None:
         with contextlib.suppress(ValueError):
             entry.subs.remove(sub)
-        self.stats.cancelled += 1
         TRACE.count("serve.cancelled")
         self.metrics.cancelled.inc()
 
@@ -525,63 +504,24 @@ class Daemon:
 
     def _register(self, op: str, req: dict) -> tuple[_Entry, _Sub]:
         tenant = validate_tenant(req.get("tenant"))
-        # v2 trace context: accept the client's id, mint one for v1
-        # requests so every entry is correlatable either way.
+        # Accept the client's trace id; mint one for a request without
+        # one, so every entry is correlatable either way.
         trace_id = validate_trace_id(req.get("trace_id")) \
             or mint_trace_id()
-        fuse = req.get("fuse", True)
-        if not isinstance(fuse, bool):
-            raise ProtocolError("bad-request", "fuse must be a boolean")
-        retries = req.get("retries", 1)
-        if not isinstance(retries, int) or isinstance(retries, bool) \
-                or retries < 0:
-            raise ProtocolError("bad-request",
-                                "retries must be an integer >= 0")
+        fuse, retries = options_from_wire(req)
         if op == "eval":
             spec = spec_from_wire(req.get("spec"))
             key = eval_dedup_key(spec, tenant, fuse, retries)
             label = spec.task_id
             payload = spec
         else:
-            exe = req.get("exe")
-            if not isinstance(exe, str) or not exe:
-                raise ProtocolError("bad-request",
-                                    "run op needs base64 exe bytes")
-            try:
-                exe_bytes = base64.b64decode(exe, validate=True)
-            except Exception as exc:
-                raise ProtocolError(
-                    "bad-request",
-                    f"exe is not valid base64: {exc}") from exc
-            args = req.get("args", [])
-            if not isinstance(args, list) \
-                    or not all(isinstance(a, str) for a in args):
-                raise ProtocolError("bad-request",
-                                    "args must be a list of strings")
-            stdin_b64 = req.get("stdin")
-            stdin = b""
-            if stdin_b64 is not None:
-                try:
-                    stdin = base64.b64decode(stdin_b64, validate=True)
-                except Exception as exc:
-                    raise ProtocolError(
-                        "bad-request",
-                        f"stdin is not valid base64: {exc}") from exc
-            max_insts = req.get("max_insts", 2_000_000_000)
-            if not isinstance(max_insts, int) \
-                    or isinstance(max_insts, bool) or max_insts <= 0:
-                raise ProtocolError("bad-request",
-                                    "max_insts must be a positive "
-                                    "integer")
-            args = tuple(args)
-            key = run_dedup_key(exe_bytes, args, stdin, max_insts,
-                                fuse, tenant)
-            label = "run:" + hashlib.sha256(exe_bytes).hexdigest()[:12]
-            payload = (exe_bytes, args, stdin, max_insts, fuse)
+            exe, args, stdin, max_insts = run_from_wire(req)
+            key = run_dedup_key(exe, args, stdin, max_insts, fuse, tenant)
+            label = "run:" + hashlib.sha256(exe).hexdigest()[:12]
+            payload = (exe, args, stdin, max_insts, fuse)
 
         entry = self._inflight.get(key)
         if entry is not None:
-            self.stats.dedup_hits += 1
             TRACE.count("serve.dedup_hits")
             self.metrics.dedup_hits.inc()
             sub = _Sub()
@@ -596,11 +536,8 @@ class Daemon:
                 trace_id=trace_id, linked_to=entry.trace_id))
             return entry, sub
 
-        depth = len(self._batch_buf) + self._dispatched
+        depth = len(self._inflight)
         if depth >= self.max_queue:
-            self.stats.overloaded += 1
-            TRACE.count("serve.overloaded")
-            self.metrics.overloaded.inc()
             raise ProtocolError(
                 "overloaded",
                 f"{depth} requests in flight (max {self.max_queue}); "
@@ -611,7 +548,6 @@ class Daemon:
         sub = _Sub()
         entry.subs.append(sub)
         self._batch_buf.append(entry)
-        self.stats.queue_depths.append(depth + 1)
         TRACE.observe("serve.queue_depth", depth + 1)
         self.metrics.tenant_requests.labels(tenant).inc()
         self.metrics.queue_depth.set(depth + 1)
@@ -629,8 +565,12 @@ class Daemon:
 
     def _flush(self) -> None:
         """Close the batching window: pack admitted requests into
-        shard-aware batches and ship them to the warm pool."""
+        shard-aware batches and ship them to the warm pool.  While pool
+        breaks are being probed the window holds everything back;
+        :meth:`_pump` reopens it when the last probe lands."""
         self._flush_handle = None
+        if self._breaks.probing:
+            return
         buf, self._batch_buf = self._batch_buf, []
         if not buf:
             return
@@ -648,11 +588,10 @@ class Daemon:
         for batch in batches:
             self._submit(batch)
 
-    def _submit(self, batch: list[_Entry]) -> None:
+    def _submit(self, batch: list[_Entry], attempt: int = 1) -> None:
         loop = asyncio.get_running_loop()
-        self._dispatched += len(batch)
-        self.stats.batches += 1
-        self.stats.batch_sizes.append(len(batch))
+        for entry in batch:
+            generation = self._breaks.dispatch(entry, attempt)
         TRACE.count("serve.batches")
         TRACE.observe("serve.batch_size", len(batch))
         self.metrics.batches.inc()
@@ -669,16 +608,17 @@ class Daemon:
             fut = loop.run_in_executor(self.pool, _execute_run,
                                        *batch[0].payload, TRACE.enabled,
                                        batch[0].trace_id)
-            fut.add_done_callback(
-                lambda f, b=batch: self._on_run_done(b, f))
         else:
+            # A probe's earlier solo breaks were attempts: the worker
+            # gets the retries left, and the record counts them all.
             items = [(entry.payload,
                       self.tenants.cache_spec(entry.tenant),
-                      entry.retries, entry.trace_id) for entry in batch]
+                      entry.retries - attempt + 1, entry.trace_id)
+                     for entry in batch]
             fut = loop.run_in_executor(self.pool, _execute_eval_batch,
                                        items, self.fuse, TRACE.enabled)
-            fut.add_done_callback(
-                lambda f, b=batch: self._on_eval_done(b, f))
+        fut.add_done_callback(
+            lambda f, b=batch, g=generation: self._on_done(b, g, f))
 
     def _record_span(self, name: str, t0_ns: int, t1_ns: int,
                      entry: _Entry, **extra) -> None:
@@ -694,94 +634,96 @@ class Daemon:
 
     # ---- completion --------------------------------------------------------
 
-    def _on_eval_done(self, batch: list[_Entry], fut) -> None:
-        self._dispatched -= len(batch)
+    def _on_done(self, batch: list[_Entry], generation: int,
+                 fut) -> None:
+        """A batch's future finished: settle its entries with the
+        pool-break policy, finish them, then dispatch what may go
+        next."""
         try:
-            records = fut.result()
+            out = fut.result()
         except BrokenProcessPool:
-            self._on_pool_break(batch)
+            self._on_break(generation)
             return
         except asyncio.CancelledError:
             return
         except Exception as exc:                     # noqa: BLE001
+            out = exc
+        attempts = [self._breaks.landed(entry) for entry in batch]
+        if isinstance(out, Exception):
             for entry in batch:
                 self._finish_error(entry, "internal",
-                                   f"{type(exc).__name__}: {exc}")
-            return
-        for entry, record in zip(batch, records):
-            # The worker's span snapshot is merged into the daemon's
-            # trace under the request's id, then stripped: result
-            # frames stay byte-identical whether or not tracing is on.
-            snap = record.get("trace")
-            record["trace"] = None
-            if snap and TRACE.enabled:
-                TRACE.merge(snap)
-            kind = "miss" if record.get("instr_compiled") else "hit"
-            self.metrics.cache_results.labels(kind).inc()
-            self._finish_result(entry, {"type": "result",
-                                        "record": record})
+                                   f"{type(out).__name__}: {out}")
+        elif batch[0].op == "run":
+            self._finish_run(batch[0], out)
+        else:
+            for entry, attempt, record in zip(batch, attempts, out):
+                record["attempts"] += attempt - 1
+                self._finish_eval(entry, record)
+        self._pump()
 
-    def _on_run_done(self, batch: list[_Entry], fut) -> None:
-        entry = batch[0]
-        self._dispatched -= 1
-        try:
-            reply = fut.result()
-        except BrokenProcessPool:
-            self._on_pool_break(batch)
-            return
-        except asyncio.CancelledError:
-            return
-        except Exception as exc:                     # noqa: BLE001
-            self._finish_error(entry, "internal",
-                               f"{type(exc).__name__}: {exc}")
-            return
+    def _finish_eval(self, entry: _Entry, record: dict) -> None:
+        # The worker's span snapshot is merged into the daemon's trace
+        # under the request's id, then stripped: result frames stay
+        # byte-identical whether or not tracing is on.
+        snap = record.get("trace")
+        record["trace"] = None
+        if snap and TRACE.enabled:
+            TRACE.merge(snap)
+        kind = "miss" if record.get("instr_compiled") else "hit"
+        self.metrics.cache_results.labels(kind).inc()
+        self._finish_result(entry, {"type": "result", "record": record})
+
+    def _finish_run(self, entry: _Entry, reply: dict) -> None:
         snap = reply.pop("trace", None)
         if snap and TRACE.enabled:
             TRACE.merge(snap)
         if "fault" in reply:
             self._finish_error(entry, "machine-error", reply["fault"])
-            return
-        self._finish_result(entry, {"type": "result", "run": reply})
-
-    def _on_pool_break(self, batch: list[_Entry]) -> None:
-        """Mirror ``run_matrix``'s guilt attribution: a multi-entry
-        batch break charges nobody (every entry is probed solo); a solo
-        break is definitively guilty and consumes an attempt."""
-        self._rebuild_pool()
-        for entry in batch:
-            if len(batch) == 1:
-                if entry.attempts > entry.retries:
-                    self._finish_dead(entry)
-                    continue
-                entry.attempts += 1
-            entry.publish(heartbeat_frame(entry.label, "probe",
-                                          attempt=entry.attempts,
-                                          trace_id=entry.trace_id))
-            self._submit([entry])
-
-    def _finish_dead(self, entry: _Entry) -> None:
-        if entry.op == "eval":
-            spec = entry.payload
-            rec = TaskResult(tool=spec.tool, workload=spec.workload,
-                             opt=spec.opt, heap_mode=spec.heap_mode,
-                             status="error", error="worker process died",
-                             attempts=entry.attempts, quarantined=True)
-            doc = asdict(rec)
-            doc["trace"] = None
-            self._finish_result(entry, {"type": "result", "record": doc})
         else:
-            self._finish_error(entry, "worker-died",
-                               "worker process died executing this run")
+            self._finish_result(entry, {"type": "result", "run": reply})
+
+    def _on_break(self, generation: int) -> None:
+        """A future raised ``BrokenProcessPool``: the shared policy
+        decides who pays (:class:`repro.eval.parallel.PoolBreakPolicy`);
+        the pool is rebuilt once per break."""
+        dead = self._breaks.broke(generation)
+        if dead is None:
+            return
+        _kill_pool(self.pool)
+        self.pool = ProcessPoolExecutor(max_workers=self.jobs,
+                                        initializer=_warm_worker)
+        TRACE.count("serve.pool_rebuilds")
+        self.metrics.pool_rebuilds.inc()
+        for entry, attempt in dead:
+            if entry.op == "eval":
+                self._finish_result(entry, {
+                    "type": "result",
+                    "record": asdict(worker_died(entry.payload, attempt))})
+            else:
+                self._finish_error(entry, "worker-died",
+                                   "worker process died executing this "
+                                   "run")
+        self._pump()
+
+    def _pump(self) -> None:
+        """After a completion or a break: while probing, dispatch the
+        next suspect alone; after it, let held admissions flush."""
+        if self._breaks.probing:
+            probe = self._breaks.next_probe()
+            if probe is not None:
+                entry, attempt = probe
+                entry.publish(heartbeat_frame(entry.label, "probe",
+                                              attempt=attempt,
+                                              trace_id=entry.trace_id))
+                self._submit([entry], attempt)
+        elif self._batch_buf:
+            self._schedule_flush()
 
     def _finish_result(self, entry: _Entry, frame: dict) -> None:
         self._inflight.pop(entry.key, None)
-        self.stats.executed += 1
         TRACE.count("serve.executed")
         now_ns = time.monotonic_ns()
         latency = (time.monotonic() - entry.t0) * 1000.0
-        self.stats.latencies_ms.append(latency)
-        if entry.op in self.stats.latencies_by_op:
-            self.stats.latencies_by_op[entry.op].append(latency)
         TRACE.observe("serve.latency_ms", latency)
         if entry.t_dispatch_ns is not None:
             self._record_span("serve.execute", entry.t_dispatch_ns,
@@ -791,21 +733,18 @@ class Daemon:
                           subscribers=len(entry.subs))
         self.metrics.executed.inc()
         self.metrics.latency.labels(entry.op).observe(latency)
-        self.metrics.queue_depth.set(
-            len(self._batch_buf) + self._dispatched)
+        self.metrics.queue_depth.set(len(self._inflight))
         entry.publish(frame)
         self._check_slo()
 
     def _finish_error(self, entry: _Entry, kind: str,
                       message: str) -> None:
         self._inflight.pop(entry.key, None)
-        self.stats.errors += 1
         TRACE.count("serve.request_errors")
         self._record_span("serve.request", entry.t0_ns,
                           time.monotonic_ns(), entry, error=kind)
-        self.metrics.errors.inc()
-        self.metrics.queue_depth.set(
-            len(self._batch_buf) + self._dispatched)
+        self.metrics.errors_by_kind[kind].inc()
+        self.metrics.queue_depth.set(len(self._inflight))
         entry.publish(error_frame(None, kind, message))
         self._check_slo()
 
@@ -815,7 +754,8 @@ class Daemon:
         """Current 60s-window p99 latency and error rate (the
         watchdog's view; zeros while the window is empty)."""
         lats = sorted(self.metrics.latency.window_values(60))
-        err = self.metrics.errors.rate(60)
+        err = sum(self.metrics.errors_by_kind[kind].rate(60)
+                  for kind in ADMITTED_ERRORS)
         done = self.metrics.executed.rate(60)
         total = err + done
         return {
@@ -840,12 +780,10 @@ class Daemon:
 
     def _breach(self, metric: str, value: float,
                 threshold: float) -> None:
-        self.stats.slo_breaches[metric] = \
-            self.stats.slo_breaches.get(metric, 0) + 1
         self.metrics.slo_breaches.labels(metric).inc()
         self._slo_last_breach = {
             "metric": metric, "value": value, "threshold": threshold,
-            "uptime_s": round(time.monotonic() - self.stats.started, 3),
+            "uptime_s": round(time.monotonic() - self.started, 3),
         }
         # Structured breach events are rate-limited to one per second
         # per metric: a sustained breach shouldn't flood the trace with
@@ -861,57 +799,51 @@ class Daemon:
     def metrics_frame(self, req_id) -> dict:
         """The terminal frame of the ``metrics`` op: Prometheus text
         plus the JSON document, gauges refreshed at exposition time."""
-        if self.metrics.enabled:
-            self.metrics.queue_depth.set(
-                len(self._batch_buf) + self._dispatched)
-            self.metrics.refresh_tenant_gauges(self.tenants.usage_all())
-        return {"type": "metrics", "id": req_id,
-                "enabled": self.metrics.enabled,
+        self.metrics.queue_depth.set(len(self._inflight))
+        self.metrics.refresh_tenant_gauges(self.tenants.usage_all())
+        return {"type": "metrics", "id": req_id, "enabled": True,
                 "text": self.metrics.registry.render_text(),
                 "metrics": self.metrics.registry.render_doc()}
 
     def stats_doc(self) -> dict:
-        """The SLO view served by the ``stats`` op."""
-        stats = self.stats
-        eligible = sum(stats.requests.get(op, 0)
-                       for op in ("eval", "run"))
-        slo_configured = self.slo_p99_ms is not None \
-            or self.slo_error_rate is not None
+        """The SLO view served by the ``stats`` op: a projection of the
+        metrics registry."""
+        m = self.metrics
+        requests = {op: int(n) for (op,), n in m.requests.by_label().items()}
+        eligible = requests["eval"] + requests["run"]
+        dedup_hits = int(m.dedup_hits.total())
         return {
             "schema": SERVE_SCHEMA,
-            "uptime_s": round(time.monotonic() - stats.started, 3),
+            "uptime_s": round(time.monotonic() - self.started, 3),
             "jobs": self.jobs,
             "batch_window_s": self.batch_window,
             "max_queue": self.max_queue,
-            "queue_depth": len(self._batch_buf) + self._dispatched,
-            "requests": dict(stats.requests),
-            "dedup_hits": stats.dedup_hits,
-            "dedup_rate": round(stats.dedup_hits / eligible, 4)
+            "queue_depth": len(self._inflight),
+            "requests": requests,
+            "dedup_hits": dedup_hits,
+            "dedup_rate": round(dedup_hits / eligible, 4)
             if eligible else 0.0,
-            "overloaded": stats.overloaded,
-            "cancelled": stats.cancelled,
-            "executed": stats.executed,
-            "errors": stats.errors,
-            "batches": stats.batches,
-            "pool_rebuilds": stats.pool_rebuilds,
-            "batch_size": hist_summary(stats.batch_sizes),
-            "queue_depth_seen": hist_summary(stats.queue_depths),
-            "latency_ms": _lat_summary(stats.latencies_ms),
-            "latency_ms_by_op": {
-                op: _lat_summary(samples)
-                for op, samples in sorted(stats.latencies_by_op.items())
-            },
+            "overloaded": int(m.overloaded.total()),
+            "cancelled": int(m.cancelled.total()),
+            "executed": int(m.executed.total()),
+            "errors": int(m.errors.total()),
+            "batches": int(m.batches.total()),
+            "pool_rebuilds": int(m.pool_rebuilds.total()),
+            "batch_size": _project(m.batch_occupancy),
+            "latency_ms": _project(m.latency),
+            "latency_ms_by_op": {op: _project(m.latency, op)
+                                 for op in ("eval", "run")},
             "slo": {
-                "configured": slo_configured,
+                "configured": self.slo_p99_ms is not None
+                or self.slo_error_rate is not None,
                 "p99_ms": self.slo_p99_ms,
                 "error_rate": self.slo_error_rate,
                 "window_s": 60,
-                "breaches": dict(stats.slo_breaches),
+                "breaches": {metric: int(n) for (metric,), n
+                             in m.slo_breaches.by_label().items()},
                 "last_breach": self._slo_last_breach,
-                "current": self._slo_window() if self.metrics.enabled
-                else {"p99_ms": 0.0, "error_rate": 0.0, "samples": 0},
+                "current": self._slo_window(),
             },
-            "metrics_enabled": self.metrics.enabled,
             "tenants": self.tenants.usage_all(),
         }
 
@@ -1023,20 +955,14 @@ def main(argv=None) -> int:
                         help="write a structured trace (spans, serve.* "
                              "counters/histograms) on exit; default: "
                              "$WRL_TRACE")
-    parser.add_argument("--metrics", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="keep the rolling-window metrics registry "
-                             "serving the 'metrics' op (default on; "
-                             "--no-metrics makes every hook a no-op)")
     parser.add_argument("--slo-p99-ms", type=float, default=None,
                         metavar="MS",
                         help="SLO watchdog: breach when rolling-60s p99 "
-                             "latency exceeds MS (implies metrics)")
+                             "latency exceeds MS")
     parser.add_argument("--slo-error-rate", type=float, default=None,
                         metavar="FRACTION",
                         help="SLO watchdog: breach when rolling-60s "
-                             "error rate exceeds FRACTION (0..1; "
-                             "implies metrics)")
+                             "error rate exceeds FRACTION (0..1)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
@@ -1066,7 +992,6 @@ def main(argv=None) -> int:
                     tenant_cap=args.tenant_cap,
                     tenant_max_bytes=args.tenant_max_bytes,
                     limit=args.max_request,
-                    metrics=args.metrics,
                     slo_p99_ms=args.slo_p99_ms,
                     slo_error_rate=args.slo_error_rate)
 

@@ -29,14 +29,14 @@ Errors are always structured: ``{"type": "error", "error": {"kind":
 ``overloaded`` is the admission-control shed signal clients can back
 off on, never an exception stack.
 
-**v2 (trace context).**  Requests may carry an optional ``trace_id``
+**Trace context.**  Requests may carry an optional ``trace_id``
 (client-minted, validated by :func:`validate_trace_id`); the daemon
 tags every span and heartbeat for that request with it, threads it into
 the worker's trace capture, and links deduplicated followers to the
-executing request's id.  v1 requests (no ``trace_id``) are still
-accepted — the daemon mints a server-side id — and their *terminal*
-frames are byte-identical to v1's, since trace ids ride only on
-heartbeat frames and in the trace itself, never in result frames.
+executing request's id.  A request without one gets a server-minted
+id.  Trace ids ride only on heartbeat frames and in the trace itself,
+never in terminal frames, so a request's terminal frame is the same
+bytes with or without one.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from .. import __version__ as _REPRO_VERSION
 from ..eval.parallel import TaskSpec
 
 SERVE_SCHEMA = f"wrl-serve/v2/{_REPRO_VERSION}"
-SERVE_SCHEMA_V1 = f"wrl-serve/v1/{_REPRO_VERSION}"
 
 ENV_SERVER = "WRL_SERVER"
 ENV_TENANT = "WRL_TENANT"
@@ -146,7 +145,7 @@ def validate_tenant(tenant) -> str:
 
 
 def validate_trace_id(trace_id) -> str | None:
-    """A client-supplied trace id, or None when absent (v1 request).
+    """A client-supplied trace id, or None when absent.
 
     Absence is not an error — the daemon mints a server-side id — but a
     present-and-malformed id is rejected rather than silently dropped,
@@ -186,6 +185,27 @@ def _bounded_int(obj: dict, key: str, default: int, lo: int = 1) -> int:
     return raw
 
 
+def _bool_field(obj: dict, key: str, default: bool) -> bool:
+    raw = obj.get(key, default)
+    _need(isinstance(raw, bool), f"{key} must be a boolean")
+    return raw
+
+
+def options_from_wire(obj: dict) -> tuple[bool, int]:
+    """The ``(fuse, retries)`` of an eval or run request."""
+    return (_bool_field(obj, "fuse", True),
+            _bounded_int(obj, "retries", 1, lo=0))
+
+
+def run_from_wire(obj: dict) -> tuple[bytes, tuple[str, ...], bytes, int]:
+    """Validate and decode a run request: ``(exe, args, stdin,
+    max_insts)``."""
+    exe = _b64_field(obj, "exe")
+    _need(exe, "run op needs base64 exe bytes")
+    return (exe, _str_tuple(obj, "args"), _b64_field(obj, "stdin"),
+            _bounded_int(obj, "max_insts", 2_000_000_000))
+
+
 def spec_from_wire(obj) -> TaskSpec:
     """Validate and build the TaskSpec of an eval request."""
     _need(isinstance(obj, dict), "spec must be an object")
@@ -202,8 +222,6 @@ def spec_from_wire(obj) -> TaskSpec:
           f"unknown opt {opt!r}")
     heap_mode = obj.get("heap_mode", "linked")
     _need(isinstance(heap_mode, str), "heap_mode must be a string")
-    warmup = obj.get("warmup", False)
-    _need(isinstance(warmup, bool), "warmup must be a boolean")
     return TaskSpec(
         tool=tool, workload=workload, opt=opt, heap_mode=heap_mode,
         tool_args=_str_tuple(obj, "tool_args"),
@@ -212,7 +230,7 @@ def spec_from_wire(obj) -> TaskSpec:
         base_max_insts=_bounded_int(obj, "base_max_insts", 500_000_000),
         max_insts=_bounded_int(obj, "max_insts", 2_000_000_000),
         reps=_bounded_int(obj, "reps", 1),
-        warmup=warmup)
+        warmup=_bool_field(obj, "warmup", False))
 
 
 def spec_to_wire(spec: TaskSpec) -> dict:

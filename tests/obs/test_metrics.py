@@ -1,6 +1,6 @@
 """Unit tests for the metrics registry: instruments, label children,
-rolling windows under a fake clock, golden Prometheus exposition, the
-text parser, and the zero-cost disabled path."""
+rolling windows under a fake clock, golden Prometheus exposition, and
+the text parser."""
 
 import math
 
@@ -27,6 +27,7 @@ def test_counter_totals_and_label_children():
     c.labels("eval").inc(2)
     c.labels("run").inc()
     assert c.total() == 4
+    assert c.by_label() == {("eval",): 3.0, ("run",): 1.0}
     # Children are cached per label tuple: hot paths bind once.
     assert c.labels("eval") is c.labels("eval")
     # Label values are str-coerced (tenant ints, bools, whatever).
@@ -59,6 +60,24 @@ def test_histogram_buckets_sum_count():
     assert child._sum == 105.5
     # Per-bucket (non-cumulative internally): <=1, <=10, +Inf.
     assert child._buckets == [1, 1, 1]
+
+
+def test_histogram_summary_counts_lifetime_over_retained_values():
+    """The stats op's projection: count and sum over every observation,
+    values only over the last ``_HIST_KEEP`` per label child."""
+    from repro.obs.metrics import _HIST_KEEP
+    reg, _ = make_registry()
+    h = reg.histogram("lat_ms", "latency", ("op",))
+    n = _HIST_KEEP + 5
+    for v in range(n):
+        h.labels("eval").observe(v)
+    h.labels("run").observe(0.5)
+    count, total, kept = h.summary("eval")
+    assert (count, total) == (n, sum(range(n)))
+    assert kept == [float(v) for v in range(5, n)]
+    count, total, kept = h.summary()
+    assert (count, len(kept), kept[0]) == (n + 1, _HIST_KEEP + 1, 0.5)
+    assert h.summary("idle") == (0, 0, [])
 
 
 def test_histogram_rejects_empty_buckets():
@@ -131,21 +150,6 @@ def test_bad_names_rejected():
         reg.counter("has-dash", "bad")
     with pytest.raises(MetricsError):
         reg.counter("ok_total", "bad label", ("le-gal",))
-
-
-def test_disabled_registry_is_null_and_renders_stub():
-    reg = MetricsRegistry(enabled=False)
-    c = reg.counter("c_total", "c", ("op",))
-    # Every hook site works; nothing is recorded anywhere.
-    c.inc()
-    c.labels("eval").inc(5)
-    reg.gauge("g", "g").set(9)
-    reg.histogram("h", "h").observe(1.0)
-    assert c.rate(60) == 0.0
-    assert reg.histogram("h", "h").window_values(60) == []
-    assert reg.render_text() == "# wrl metrics disabled\n"
-    doc = reg.render_doc()
-    assert doc["enabled"] is False and doc["metrics"] == {}
 
 
 # ---- exposition ------------------------------------------------------------

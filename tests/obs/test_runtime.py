@@ -143,6 +143,22 @@ def test_attribution_accounts_for_every_cycle(fib, tool_name, opt):
     assert split["unknown"] == 0
 
 
+@pytest.mark.parametrize("tool_name, routine", [
+    ("cache", "Reference"), ("pipe", "PipeBlock"), ("prof", "ProfInit")])
+def test_first_analysis_routine_is_named_not_the_landmark(fib, tool_name,
+                                                          routine):
+    """The analysis unit's first routine shares its address with the
+    linker's ``__text_start``; the profiler names the routine."""
+    module = apply_tool(fib, get_tool(tool_name), opt=OptLevel.O1,
+                        cache=None).module
+    addr = module.symtab.get("anal$" + routine).value
+    assert module.symtab.get("anal$__text_start").value == addr
+    attr = runtime.Attributor(module)
+    for pc in (addr, addr + 4):
+        hit = attr.resolve(pc)
+        assert (hit.bucket, hit.label) == (runtime.BUCKET_ANALYSIS, routine)
+
+
 def test_o4_profile_has_splice_and_o0_does_not(fib):
     for opt, expect_splice in ((OptLevel.O0, False), (OptLevel.O4, True)):
         res = apply_tool(fib, get_tool("prof"), opt=opt, cache=None)

@@ -193,7 +193,7 @@ def test_overload_sheds_with_structured_response(tmp_path, exe):
                  if isinstance(r, ServeError)]
         assert kinds.count("overloaded") == 2
         assert not isinstance(results["18"], ServeError)
-        assert dt.daemon.stats.overloaded == 2
+        assert client.stats()["overloaded"] == 2
 
 
 def test_disconnect_cancels_only_own_subscription(tmp_path, exe):

@@ -11,7 +11,8 @@ from repro.serve import protocol
 from repro.serve.protocol import (ProtocolError, decode_frame,
                                   encode_frame, error_frame,
                                   eval_dedup_key, heartbeat_frame,
-                                  run_dedup_key, spec_from_wire,
+                                  options_from_wire, run_dedup_key,
+                                  run_from_wire, spec_from_wire,
                                   spec_to_wire, validate_tenant,
                                   validate_trace_id)
 
@@ -82,6 +83,52 @@ def test_spec_from_wire_rejects(wire, fragment):
     assert fragment in str(exc.value)
 
 
+_EXE = base64.b64encode(b"exe").decode()
+
+
+def test_run_from_wire_decodes_and_defaults():
+    assert run_from_wire({"exe": _EXE}) == (b"exe", (), b"",
+                                            2_000_000_000)
+    wire = {"exe": _EXE, "args": ["a", "b"],
+            "stdin": base64.b64encode(b"in").decode(), "max_insts": 7}
+    assert run_from_wire(wire) == (b"exe", ("a", "b"), b"in", 7)
+
+
+@pytest.mark.parametrize("wire, fragment", [
+    ({}, "run op needs base64 exe bytes"),
+    ({"exe": ""}, "run op needs base64 exe bytes"),
+    ({"exe": 42}, "exe must be base64 text"),
+    ({"exe": "!!"}, "exe is not valid base64"),
+    ({"exe": _EXE, "args": "a"}, "args must be a list of strings"),
+    ({"exe": _EXE, "args": [1]}, "args must be a list of strings"),
+    ({"exe": _EXE, "stdin": ["x"]}, "stdin must be base64 text"),
+    ({"exe": _EXE, "stdin": "!!"}, "stdin is not valid base64"),
+    ({"exe": _EXE, "max_insts": 0}, "max_insts must be an integer >= 1"),
+    ({"exe": _EXE, "max_insts": True},
+     "max_insts must be an integer >= 1"),
+    ({"exe": _EXE, "max_insts": "9"},
+     "max_insts must be an integer >= 1"),
+])
+def test_run_from_wire_rejects(wire, fragment):
+    with pytest.raises(ProtocolError) as exc:
+        run_from_wire(wire)
+    assert exc.value.kind == "bad-request"
+    assert fragment in str(exc.value)
+
+
+def test_options_from_wire():
+    assert options_from_wire({}) == (True, 1)
+    assert options_from_wire({"fuse": False, "retries": 0}) == (False, 0)
+    for wire, fragment in (({"fuse": 1}, "fuse must be a boolean"),
+                           ({"retries": -1}, "retries must be an integer"),
+                           ({"retries": True}, "retries must be an integer"),
+                           ({"retries": 1.5}, "retries must be an integer")):
+        with pytest.raises(ProtocolError) as exc:
+            options_from_wire(wire)
+        assert exc.value.kind == "bad-request"
+        assert fragment in str(exc.value)
+
+
 def test_validate_tenant():
     assert validate_tenant(None) == "default"
     assert validate_tenant("team-a.prod_1") == "team-a.prod_1"
@@ -91,10 +138,10 @@ def test_validate_tenant():
 
 
 def test_validate_trace_id_accepts_v1_absence_and_v2_ids():
-    # v1 requests carry no trace_id: None passes through so the daemon
+    # A request without a trace_id: None passes through so the daemon
     # knows to mint a server-side id.
     assert validate_trace_id(None) is None
-    # v2 ids: same alphabet as tenants.
+    # Client ids: same alphabet as tenants.
     assert validate_trace_id("a3f0c1d2e4b59876") == "a3f0c1d2e4b59876"
     assert validate_trace_id("req-1.retry_2") == "req-1.retry_2"
     for bad in ("", "a b", "id/with/slash", "x" * 65, 42, ["id"]):
@@ -105,7 +152,6 @@ def test_validate_trace_id_accepts_v1_absence_and_v2_ids():
 
 def test_schema_is_v2_and_ops_include_metrics():
     assert protocol.SERVE_SCHEMA.startswith("wrl-serve/v2/")
-    assert protocol.SERVE_SCHEMA_V1.startswith("wrl-serve/v1/")
     assert "metrics" in protocol.OPS
     assert "metrics" in protocol.TERMINAL_TYPES
 
