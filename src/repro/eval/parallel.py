@@ -86,9 +86,8 @@ class TaskSpec:
     stdin: bytes = b""
     base_max_insts: int = 500_000_000
     max_insts: int = 2_000_000_000
-    #: Timed repetitions per run (wall-clock best-of-N); 1 warmup run is
-    #: added when ``warmup`` — the bench harness convention.
-    reps: int = 1
+    #: One untimed run before each timed one — the bench harness
+    #: convention.
     warmup: bool = False
 
     @property
@@ -203,9 +202,12 @@ def _files_sha(files: dict[str, bytes]) -> str:
 
 # ---- worker side ----------------------------------------------------------
 
-#: Uninstrumented runs memoized per process: every tool cell of one
-#: workload shares the same baseline, so a worker runs it once.
+#: Uninstrumented runs memoized per process, least recently used
+#: first: every tool cell of one workload shares the same baseline, so
+#: a worker runs it once.  Bounded because a daemon worker lives as long
+#: as the daemon and keys it on client-supplied arguments and stdin.
 _base_memo: dict[tuple, tuple] = {}
+_BASE_MEMO_CAP = 64
 
 
 def _resolve_worker_cache(cache_spec) -> ArtifactCache | None:
@@ -226,37 +228,24 @@ def _resolve_worker_cache(cache_spec) -> ArtifactCache | None:
     return ArtifactCache(Path(cache_spec))
 
 
-def _timed(run_fn, *, reps: int, warmup: bool):
-    """(result, best wall seconds) with the bench warmup convention."""
+def _timed(run_fn, *, warmup: bool):
+    """(result, wall seconds) with the bench warmup convention."""
     if warmup:
         run_fn()
-    best = None
-    result = None
-    for _ in range(max(1, reps)):
-        t0 = time.perf_counter()
-        result = run_fn()
-        elapsed = time.perf_counter() - t0
-        best = elapsed if best is None else min(best, elapsed)
-    return result, best
+    t0 = time.perf_counter()
+    result = run_fn()
+    return result, time.perf_counter() - t0
 
 
-def execute_task(spec: TaskSpec, cache_spec=None, fuse: bool = True,
-                 trace: bool = False,
-                 trace_id: str | None = None) -> TaskResult:
-    """Run one cell; never raises — failures become the record status.
+def traced_call(fn, trace: bool, trace_id: str | None):
+    """``(fn(), snapshot)``: call ``fn`` with ``trace_id`` as the ambient
+    :func:`repro.eval.runner.set_trace_id`.
 
-    ``trace=True`` captures the cell's spans and counters.  When the
-    ambient tracer is owned by this process (the serial runner), events
-    simply accumulate there; otherwise (a pool worker — its tracer is
-    either disabled or a fork-inherited copy of the parent's) a fresh
-    capture is started and shipped back in ``TaskResult.trace`` for the
-    parent to merge.
-
-    ``trace_id`` is the request context this cell executes under: it
-    becomes the ambient :func:`repro.eval.runner.set_trace_id` for the
-    duration and is stamped onto every captured event, so the worker's
-    spans land in the merged trace under the same id as the client's
-    and daemon's spans for that request.
+    With ``trace``, a process that owns the ambient tracer (the serial
+    runner) records into it and the snapshot is None.  A pool worker,
+    whose tracer is disabled or a fork-inherited copy of the parent's,
+    captures privately and returns the snapshot for the parent to
+    merge, every event stamped with ``trace_id``.
     """
     capture = trace and not TRACE.owned()
     if capture:
@@ -265,18 +254,32 @@ def execute_task(spec: TaskSpec, cache_spec=None, fuse: bool = True,
     prev_id = runner.current_trace_id()
     runner.set_trace_id(trace_id)
     try:
-        rec = _execute_task(spec, cache_spec, fuse)
+        result = fn()
     finally:
         runner.set_trace_id(prev_id)
         if capture:
-            rec_trace = TRACE.snapshot()
+            snap = TRACE.snapshot()
             TRACE.disable()
             TRACE.reset()
-    if capture:
-        if trace_id is not None:
-            for ev in rec_trace.get("events", ()):
-                ev["args"].setdefault("trace_id", trace_id)
-        rec.trace = rec_trace
+    if not capture:
+        return result, None
+    if trace_id is not None:
+        for ev in snap.get("events", ()):
+            ev["args"].setdefault("trace_id", trace_id)
+    return result, snap
+
+
+def execute_task(spec: TaskSpec, cache_spec=None, trace: bool = False,
+                 trace_id: str | None = None) -> TaskResult:
+    """Run one cell; never raises — failures become the record status.
+
+    ``trace=True`` captures the cell's spans and counters, shipped back
+    in ``TaskResult.trace`` from a pool worker (:func:`traced_call`);
+    ``trace_id`` is the request context the cell executes under.
+    """
+    rec, snap = traced_call(lambda: _execute_task(spec, cache_spec),
+                            trace, trace_id)
+    rec.trace = snap
     return rec
 
 
@@ -294,7 +297,7 @@ def _heartbeat(spec: TaskSpec):
     return HeartbeatWriter(path, spec.task_id)
 
 
-def _execute_task(spec: TaskSpec, cache_spec, fuse: bool) -> TaskResult:
+def _execute_task(spec: TaskSpec, cache_spec) -> TaskResult:
     rec = TaskResult.of(spec)
     cache = _resolve_worker_cache(cache_spec)
     analysis_before = runner.COMPILE_COUNTS["analysis"]
@@ -307,22 +310,26 @@ def _execute_task(spec: TaskSpec, cache_spec, fuse: bool) -> TaskResult:
     if heartbeat is not None:
         heartbeat.emit("start")
     try:
-        app = build_workload(spec.workload)
+        # --no-cache keeps the workload out of the store too; every
+        # other spec compiles workloads through the default store.
+        app = build_workload(spec.workload, cache=None) \
+            if cache_spec is False else build_workload(spec.workload)
         tool = get_tool(spec.tool)
 
         base_key = (spec.workload, spec.wl_args, spec.stdin,
-                    spec.base_max_insts, fuse, spec.reps, spec.warmup)
-        memo = _base_memo.get(base_key)
+                    spec.base_max_insts, spec.warmup)
+        memo = _base_memo.pop(base_key, None)
         if memo is None:
             base_sampler = None if heartbeat is None \
                 else heartbeat.sampler("base")
             memo = _timed(
                 lambda: runner.run_uninstrumented(
                     app, args=spec.wl_args, stdin=spec.stdin,
-                    max_insts=spec.base_max_insts, fuse=fuse,
-                    sampler=base_sampler),
-                reps=spec.reps, warmup=spec.warmup)
-            _base_memo[base_key] = memo
+                    max_insts=spec.base_max_insts, sampler=base_sampler),
+                warmup=spec.warmup)
+            if len(_base_memo) >= _BASE_MEMO_CAP:
+                del _base_memo[next(iter(_base_memo))]
+        _base_memo[base_key] = memo
         base, base_wall = memo
         if heartbeat is not None:
             heartbeat.emit("base", insts=base.inst_count,
@@ -339,9 +346,8 @@ def _execute_task(spec: TaskSpec, cache_spec, fuse: bool) -> TaskResult:
         instr, instr_wall = _timed(
             lambda: runner.run_instrumented(
                 instrumented, args=spec.wl_args, stdin=spec.stdin,
-                max_insts=spec.max_insts, fuse=fuse,
-                sampler=instr_sampler),
-            reps=spec.reps, warmup=spec.warmup)
+                max_insts=spec.max_insts, sampler=instr_sampler),
+            warmup=spec.warmup)
 
         rec.base_status = base.status
         rec.base_cycles = base.cycles
@@ -379,8 +385,8 @@ def _execute_task(spec: TaskSpec, cache_spec, fuse: bool) -> TaskResult:
     return rec
 
 
-def run_with_retries(spec: TaskSpec, cache_spec=None, fuse: bool = True,
-                     retries: int = 1, trace: bool = False,
+def run_with_retries(spec: TaskSpec, cache_spec=None, retries: int = 1,
+                     trace: bool = False,
                      trace_id: str | None = None) -> TaskResult:
     """One cell with the serial retry/quarantine semantics.
 
@@ -394,7 +400,7 @@ def run_with_retries(spec: TaskSpec, cache_spec=None, fuse: bool = True,
     attempt = 0
     while True:
         attempt += 1
-        rec = execute_task(spec, cache_spec, fuse, trace, trace_id)
+        rec = execute_task(spec, cache_spec, trace, trace_id)
         if rec.status != "error" or attempt > retries:
             break
     rec.attempts = attempt
@@ -491,7 +497,7 @@ class PoolBreakPolicy:
         return dead
 
 
-def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
+def run_matrix(specs, *, jobs: int = 0, cache_spec=None,
                retries: int = 1, wall_timeout: float | None = None,
                num_shards: int = 1, progress=None,
                trace_id: str | None = None) -> list[TaskResult]:
@@ -529,8 +535,8 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
 
     if jobs <= 0:
         for idx, spec in enumerate(specs):
-            rec = run_with_retries(spec, cache_spec, fuse, retries,
-                                   trace_on, trace_id)
+            rec = run_with_retries(spec, cache_spec, retries, trace_on,
+                                   trace_id)
             finish(idx, rec, rec.attempts)
         return [results[i] for i in range(len(specs))]
 
@@ -541,8 +547,8 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None, fuse: bool = True,
     inflight: dict = {}              # future -> (idx, generation, start)
 
     def submit(idx: int, attempt: int) -> None:
-        fut = pool.submit(execute_task, specs[idx], cache_spec, fuse,
-                          trace_on, trace_id)
+        fut = pool.submit(execute_task, specs[idx], cache_spec, trace_on,
+                          trace_id)
         inflight[fut] = (idx, breaks.dispatch(idx, attempt),
                          time.monotonic())
 

@@ -239,8 +239,7 @@ def _instrument_from_payload(payload: bytes,
 
 
 def _checked_run(module: Module, *, stage: str, args, stdin,
-                 max_insts: int, fuse: bool = True,
-                 sampler=None) -> RunResult:
+                 max_insts: int, sampler=None) -> RunResult:
     if not isinstance(max_insts, int) or max_insts <= 0:
         raise ValueError(
             f"max_insts must be a positive integer, got {max_insts!r}")
@@ -248,8 +247,7 @@ def _checked_run(module: Module, *, stage: str, args, stdin,
         with TRACE.span(f"interpret.{stage}", "interpret") as sp:
             _tag(sp)
             result = run_module(module, args=tuple(args), stdin=stdin,
-                                max_insts=max_insts, fuse=fuse,
-                                sampler=sampler)
+                                max_insts=max_insts, sampler=sampler)
             sp.add(insts=result.inst_count, cycles=result.cycles,
                    status=result.status)
             return result
@@ -259,21 +257,21 @@ def _checked_run(module: Module, *, stage: str, args, stdin,
         raise EvalTimeout(stage, max_insts, exc.pc) from exc
 
 
-# ``jit`` is accepted and ignored because perfbench/fig5.py passes
-# ``jit=False`` (pinned by
+# Both runners dispatch fused; ``run_module(fuse=False)`` is the
+# per-instruction reference.  ``jit`` is accepted and ignored because
+# perfbench/fig5.py passes ``jit=False`` (pinned by
 # tests/eval/test_runner.py::test_runners_accept_and_ignore_jit).
 def run_uninstrumented(app: Module, *, args=(), stdin=b"",
                        max_insts: int = 500_000_000,
-                       fuse: bool = True, jit: bool | None = None,
+                       jit: bool | None = None,
                        sampler=None) -> RunResult:
     return _checked_run(app, stage="base", args=args, stdin=stdin,
-                        max_insts=max_insts, fuse=fuse, sampler=sampler)
+                        max_insts=max_insts, sampler=sampler)
 
 
 def run_instrumented(result: InstrumentResult, *, args=(), stdin=b"",
                      max_insts: int = 2_000_000_000,
-                     fuse: bool = True, jit: bool | None = None,
+                     jit: bool | None = None,
                      sampler=None) -> RunResult:
     return _checked_run(result.module, stage="instrumented", args=args,
-                        stdin=stdin, max_insts=max_insts, fuse=fuse,
-                        sampler=sampler)
+                        stdin=stdin, max_insts=max_insts, sampler=sampler)

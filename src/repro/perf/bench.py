@@ -15,9 +15,10 @@ Three sections, one JSON report:
   latency of a deduplicated burst: the case for
   instrumentation-as-a-service in numbers.
 
-Simulated cycles are deterministic; wall-clock insts/sec is best-of-N
-with a warmup run so lazy superblock compilation is excluded, the
-standard JIT-benchmarking convention.  The report lands in
+Simulated cycles are deterministic; wall-clock insts/sec is timed after
+a warmup run so lazy superblock compilation is excluded, the standard
+JIT-benchmarking convention (best-of-N in the interpreter section, one
+timed run per tools cell).  The report lands in
 ``BENCH_interp.json`` at the repo root so the trajectory is versioned
 alongside the code that produced it.
 """
@@ -111,8 +112,7 @@ def measure_interpreter(workloads, reps: int = 3) -> dict:
     return out
 
 
-def measure_tools(workloads, tools, opts, reps: int = 1,
-                  jobs: int = 0) -> list[dict]:
+def measure_tools(workloads, tools, opts, jobs: int = 0) -> list[dict]:
     """Instrumented-vs-base cycles and throughput per matrix cell.
 
     Goes through the shard-aware eval pipeline: artifacts come from the
@@ -121,7 +121,7 @@ def measure_tools(workloads, tools, opts, reps: int = 1,
     least-noisy default for wall-clock numbers).
     """
     specs = plan_matrix(tools=tools, workloads=workloads, opts=opts,
-                        reps=reps, warmup=True)
+                        warmup=True)
     rows = []
     for rec in run_matrix(specs, jobs=jobs):
         if rec.status != "ok":
@@ -280,12 +280,10 @@ def measure_serve_isolated() -> dict:
 
 
 def run_bench(workloads=DEFAULT_WORKLOADS, tools=DEFAULT_TOOLS,
-              opts=DEFAULT_OPTS, reps: int = 3,
-              tool_reps: int = 1, jobs: int = 0,
+              opts=DEFAULT_OPTS, reps: int = 3, jobs: int = 0,
               serve: bool = True) -> dict:
     """Run the sections and assemble the report."""
-    tool_rows = measure_tools(workloads, tools, opts, reps=tool_reps,
-                              jobs=jobs)
+    tool_rows = measure_tools(workloads, tools, opts, jobs=jobs)
     return {
         **({"serve": measure_serve_isolated()} if serve else {}),
         "schema": BENCH_SCHEMA,

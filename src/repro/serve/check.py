@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
 
     refs = {name: _reference_fingerprint(exe, args.max_insts)
             for name, exe in exes.items()}
-    eval_refs = [run_with_retries(spec, False, True, 1)
+    eval_refs = [run_with_retries(spec, False, 1)
                  for spec in EVAL_CELLS]
 
     proc = subprocess.Popen(

@@ -121,12 +121,12 @@ class ServeClient:
         return self._roundtrip({"op": "shutdown"})
 
     def eval_task(self, spec, *, tenant: str | None = None,
-                  fuse: bool = True, retries: int = 1,
-                  on_heartbeat=None, trace_id: str | None = None) -> dict:
+                  retries: int = 1, on_heartbeat=None,
+                  trace_id: str | None = None) -> dict:
         """Evaluate one matrix cell; returns the TaskResult record as a
         plain dict (the daemon strips the trace)."""
         request = {"op": "eval", "spec": spec_to_wire(spec),
-                   "fuse": fuse, "retries": retries}
+                   "retries": retries}
         if tenant is not None:
             request["tenant"] = tenant
         frame = self._roundtrip(request, on_heartbeat, trace_id)
@@ -137,14 +137,12 @@ class ServeClient:
         return record
 
     def run_exe(self, exe: bytes, *, args=(), stdin: bytes = b"",
-                max_insts: int = 500_000_000, fuse: bool = True,
-                tenant: str | None = None,
+                max_insts: int = 500_000_000, tenant: str | None = None,
                 on_heartbeat=None, trace_id: str | None = None) -> RunReply:
         """Run an executable uninstrumented — the wrl-run hot path."""
         request = {"op": "run",
                    "exe": base64.b64encode(exe).decode(),
-                   "args": list(args), "max_insts": max_insts,
-                   "fuse": fuse}
+                   "args": list(args), "max_insts": max_insts}
         if stdin:
             request["stdin"] = base64.b64encode(stdin).decode()
         if tenant is not None:

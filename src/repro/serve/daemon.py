@@ -60,7 +60,7 @@ from pathlib import Path
 
 from ..eval import runner
 from ..eval.parallel import (PoolBreakPolicy, _kill_pool, default_jobs,
-                             run_with_retries, worker_died)
+                             run_with_retries, traced_call, worker_died)
 from ..obs import TRACE, mint_trace_id, percentile, trace_path_from_env
 from ..obs.metrics import MetricsRegistry
 from .protocol import (DEFAULT_SOCKET_NAME, ERROR_KINDS,
@@ -84,7 +84,7 @@ def _warm_worker() -> None:
     runner.preload_process()
 
 
-def _execute_eval_batch(items, fuse: bool, trace: bool = False) -> list[dict]:
+def _execute_eval_batch(items, trace: bool = False) -> list[dict]:
     """Run a shard-aware batch of eval cells serially in one worker.
 
     ``items`` is ``[(spec, cache_spec, retries, trace_id), ...]`` — all
@@ -98,8 +98,7 @@ def _execute_eval_batch(items, fuse: bool, trace: bool = False) -> list[dict]:
     """
     out = []
     for spec, cache_spec, retries, trace_id in items:
-        rec = run_with_retries(spec, cache_spec, fuse, retries,
-                               trace, trace_id)
+        rec = run_with_retries(spec, cache_spec, retries, trace, trace_id)
         doc = asdict(rec)
         if not trace:
             doc["trace"] = None
@@ -108,54 +107,41 @@ def _execute_eval_batch(items, fuse: bool, trace: bool = False) -> list[dict]:
 
 
 def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
-                 max_insts: int, fuse: bool,
-                 trace: bool = False, trace_id: str | None = None) -> dict:
+                 max_insts: int, trace: bool = False,
+                 trace_id: str | None = None) -> dict:
     """One uninstrumented execution — the daemon half of ``wrl-run``.
 
     With ``trace``, the worker captures its interpret spans under
-    ``trace_id`` and ships them back in the reply's ``trace`` key; the
-    daemon merges and strips it before the result frame hits the wire.
+    ``trace_id`` (:func:`repro.eval.parallel.traced_call`) and ships
+    them back in the reply's ``trace`` key; the daemon merges and
+    strips it before the result frame hits the wire.
     """
     from ..eval.errors import EvalTimeout
     from ..machine.cpu import MachineError
     from ..objfile.module import Module, ObjError
-    capture = trace and not TRACE.owned()
-    if capture:
-        TRACE.reset()
-        TRACE.enable()
-    prev_id = runner.current_trace_id()
-    runner.set_trace_id(trace_id)
-    try:
+
+    def run() -> dict:
         try:
-            module = Module.from_bytes(exe)
             result = runner.run_uninstrumented(
-                module, args=args, stdin=stdin, max_insts=max_insts,
-                fuse=fuse)
+                Module.from_bytes(exe), args=args, stdin=stdin,
+                max_insts=max_insts)
         except EvalTimeout as exc:
-            reply = {"timeout": True, "message": str(exc)}
+            return {"timeout": True, "message": str(exc)}
         except (MachineError, ObjError) as exc:
-            reply = {"fault": str(exc)}
-        else:
-            reply = {
-                "timeout": False,
-                "status": result.status,
-                "stdout": base64.b64encode(result.stdout).decode(),
-                "stderr": base64.b64encode(result.stderr).decode(),
-                "files": {name: base64.b64encode(data).decode()
-                          for name, data in sorted(result.files.items())},
-                "cycles": result.cycles,
-                "insts": result.inst_count,
-            }
-    finally:
-        runner.set_trace_id(prev_id)
-        if capture:
-            snap = TRACE.snapshot()
-            TRACE.disable()
-            TRACE.reset()
-    if capture:
-        if trace_id is not None:
-            for ev in snap.get("events", ()):
-                ev["args"].setdefault("trace_id", trace_id)
+            return {"fault": str(exc)}
+        return {
+            "timeout": False,
+            "status": result.status,
+            "stdout": base64.b64encode(result.stdout).decode(),
+            "stderr": base64.b64encode(result.stderr).decode(),
+            "files": {name: base64.b64encode(data).decode()
+                      for name, data in sorted(result.files.items())},
+            "cycles": result.cycles,
+            "insts": result.inst_count,
+        }
+
+    reply, snap = traced_call(run, trace, trace_id)
+    if snap is not None:
         reply["trace"] = snap
     return reply
 
@@ -301,7 +287,6 @@ class Daemon:
                  batch_window: float = DEFAULT_BATCH_WINDOW,
                  max_batch: int = DEFAULT_MAX_BATCH,
                  max_queue: int = DEFAULT_MAX_QUEUE,
-                 fuse: bool = True,
                  cache_root=None,
                  tenant_cap: int = DEFAULT_TENANT_CAP,
                  tenant_max_bytes: int | None = None,
@@ -313,7 +298,6 @@ class Daemon:
         self.batch_window = batch_window
         self.max_batch = max(1, max_batch)
         self.max_queue = max(1, max_queue)
-        self.fuse = fuse
         self.limit = limit
         self.tenants = TenantCaches(cache_root, cap=tenant_cap,
                                     max_bytes=tenant_max_bytes)
@@ -508,17 +492,17 @@ class Daemon:
         # one, so every entry is correlatable either way.
         trace_id = validate_trace_id(req.get("trace_id")) \
             or mint_trace_id()
-        fuse, retries = options_from_wire(req)
+        retries = options_from_wire(req)
         if op == "eval":
             spec = spec_from_wire(req.get("spec"))
-            key = eval_dedup_key(spec, tenant, fuse, retries)
+            key = eval_dedup_key(spec, tenant, retries)
             label = spec.task_id
             payload = spec
         else:
             exe, args, stdin, max_insts = run_from_wire(req)
-            key = run_dedup_key(exe, args, stdin, max_insts, fuse, tenant)
+            key = run_dedup_key(exe, args, stdin, max_insts, tenant)
             label = "run:" + hashlib.sha256(exe).hexdigest()[:12]
-            payload = (exe, args, stdin, max_insts, fuse)
+            payload = (exe, args, stdin, max_insts)
 
         entry = self._inflight.get(key)
         if entry is not None:
@@ -616,7 +600,7 @@ class Daemon:
                       entry.retries - attempt + 1, entry.trace_id)
                      for entry in batch]
             fut = loop.run_in_executor(self.pool, _execute_eval_batch,
-                                       items, self.fuse, TRACE.enabled)
+                                       items, TRACE.enabled)
         fut.add_done_callback(
             lambda f, b=batch, g=generation: self._on_done(b, g, f))
 

@@ -16,13 +16,16 @@ requests, since concurrency comes from concurrent connections):
 
 Requests::
 
-    {"op": "eval", "id": "...", "tenant": "t", "fuse": true,
-     "retries": 1, "spec": {"tool": "prof", "workload": "fib", ...}}
+    {"op": "eval", "id": "...", "tenant": "t", "retries": 1,
+     "spec": {"tool": "prof", "workload": "fib", ...}}
     {"op": "run", "id": "...", "tenant": "t", "exe": "<base64 WOF>",
-     "args": [...], "stdin": "<base64>", "max_insts": N,
-     "fuse": true}
+     "args": [...], "stdin": "<base64>", "max_insts": N}
     {"op": "stats"} | {"op": "metrics"} | {"op": "ping"}
     {"op": "shutdown"}
+
+Unknown top-level request keys are ignored, so a client may still send
+``"fuse"`` or ``"jit"``: dispatch is the machine's choice, and requests
+that differ only in such a key are one request.
 
 Errors are always structured: ``{"type": "error", "error": {"kind":
 ..., "message": ...}}`` with ``kind`` drawn from :data:`ERROR_KINDS` —
@@ -191,10 +194,9 @@ def _bool_field(obj: dict, key: str, default: bool) -> bool:
     return raw
 
 
-def options_from_wire(obj: dict) -> tuple[bool, int]:
-    """The ``(fuse, retries)`` of an eval or run request."""
-    return (_bool_field(obj, "fuse", True),
-            _bounded_int(obj, "retries", 1, lo=0))
+def options_from_wire(obj: dict) -> int:
+    """The ``retries`` of an eval or run request."""
+    return _bounded_int(obj, "retries", 1, lo=0)
 
 
 def run_from_wire(obj: dict) -> tuple[bytes, tuple[str, ...], bytes, int]:
@@ -211,7 +213,7 @@ def spec_from_wire(obj) -> TaskSpec:
     _need(isinstance(obj, dict), "spec must be an object")
     unknown = set(obj) - {"tool", "workload", "opt", "heap_mode",
                           "tool_args", "wl_args", "stdin", "base_max_insts",
-                          "max_insts", "reps", "warmup"}
+                          "max_insts", "warmup"}
     _need(not unknown, f"unknown spec fields {sorted(unknown)}")
     tool = obj.get("tool")
     _need(tool in TOOL_NAMES, f"unknown tool {tool!r}")
@@ -229,7 +231,6 @@ def spec_from_wire(obj) -> TaskSpec:
         stdin=_b64_field(obj, "stdin"),
         base_max_insts=_bounded_int(obj, "base_max_insts", 500_000_000),
         max_insts=_bounded_int(obj, "max_insts", 2_000_000_000),
-        reps=_bounded_int(obj, "reps", 1),
         warmup=_bool_field(obj, "warmup", False))
 
 
@@ -239,8 +240,7 @@ def spec_to_wire(spec: TaskSpec) -> dict:
         "tool": spec.tool, "workload": spec.workload, "opt": spec.opt,
         "heap_mode": spec.heap_mode,
         "base_max_insts": spec.base_max_insts,
-        "max_insts": spec.max_insts,
-        "reps": spec.reps, "warmup": spec.warmup,
+        "max_insts": spec.max_insts, "warmup": spec.warmup,
     }
     if spec.tool_args:
         wire["tool_args"] = list(spec.tool_args)
@@ -259,26 +259,25 @@ def _canon(obj) -> str:
     ).hexdigest()
 
 
-def eval_dedup_key(spec: TaskSpec, tenant: str, fuse: bool,
-                   retries: int) -> str:
+def eval_dedup_key(spec: TaskSpec, tenant: str, retries: int) -> str:
     """Identity of an eval request: everything that can change the
     record (including the tenant, so coalesced work is charged to one
     cache namespace, never smeared across quotas)."""
     wire = spec_to_wire(spec)
     if spec.stdin:
         wire["stdin"] = hashlib.sha256(spec.stdin).hexdigest()
-    return _canon({"op": "eval", "tenant": tenant, "fuse": fuse,
-                   "retries": retries, "spec": wire})
+    return _canon({"op": "eval", "tenant": tenant, "retries": retries,
+                   "spec": wire})
 
 
 def run_dedup_key(exe: bytes, args: tuple[str, ...], stdin: bytes,
-                  max_insts: int, fuse: bool, tenant: str) -> str:
+                  max_insts: int, tenant: str) -> str:
     """Identity of a run request: the exe-hash, not the exe bytes."""
     return _canon({"op": "run", "tenant": tenant,
                    "exe": hashlib.sha256(exe).hexdigest(),
                    "args": list(args),
                    "stdin": hashlib.sha256(stdin).hexdigest(),
-                   "max_insts": max_insts, "fuse": fuse})
+                   "max_insts": max_insts})
 
 
 def server_path_from_env() -> str | None:

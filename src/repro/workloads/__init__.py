@@ -25,6 +25,10 @@ WORKLOAD_NAMES = (
 
 _exe_cache: dict[str, bytes] = {}
 
+#: Distinguishes "use the process default store" from an explicit
+#: ``cache=None`` (no disk store) or ``cache=ArtifactCache(...)``.
+_DEFAULT_CACHE = object()
+
 
 def load_source(name: str) -> str:
     """Read one workload's MLC source."""
@@ -34,12 +38,13 @@ def load_source(name: str) -> str:
         .joinpath(f"programs/{name}.mlc").read_text()
 
 
-def build_workload(name: str) -> Module:
+def build_workload(name: str, *, cache=_DEFAULT_CACHE) -> Module:
     """Compile and link one workload (cached).
 
     Two layers: an in-memory blob memo for this process, backed by the
     content-addressed on-disk artifact store so fresh processes (e.g.
-    parallel eval workers) skip recompilation too.
+    parallel eval workers) skip recompilation too.  Pass ``cache=None``
+    to bypass the disk store for one call.
     """
     blob = _exe_cache.get(name)
     if blob is not None:
@@ -49,7 +54,7 @@ def build_workload(name: str) -> Module:
     from ..eval.cache import executable_key, get_default_cache
     from ..eval.runner import _DECODE_ERRORS
     source = load_source(name)
-    disk = get_default_cache()
+    disk = get_default_cache() if cache is _DEFAULT_CACHE else cache
     key = executable_key((source,), name)
     module = None
     if disk is not None:

@@ -155,6 +155,36 @@ def test_gprof_o3_proc_after_identical_in_workers(tmp_path):
     assert direct.stats.calls_added == inline.calls_added
 
 
+def test_no_cache_leaves_the_default_store_untouched(tmp_path,
+                                                     monkeypatch):
+    """``cache_spec=False`` (``wrl-eval --no-cache``) keeps every
+    artifact out of the disk store, the compiled workload included."""
+    store = tmp_path / "store"
+    store.mkdir()
+    monkeypatch.setenv("WRL_CACHE_DIR", str(store))
+    monkeypatch.delenv("WRL_CACHE", raising=False)
+    monkeypatch.setattr(workloads, "_exe_cache", {})
+    spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
+    rec = run_matrix([spec], jobs=0, cache_spec=False)[0]
+    assert rec.status == "ok", rec.error
+    assert list(store.rglob("*")) == []
+
+
+def test_base_memo_keeps_the_most_recent_baselines(monkeypatch):
+    """The per-process baseline memo is bounded: past its cap the least
+    recently used baseline goes, and a re-run of an evicted cell gives
+    the same record."""
+    monkeypatch.setattr(parallel, "_BASE_MEMO_CAP", 2)
+    monkeypatch.setattr(parallel, "_base_memo", {})
+    specs = [TaskSpec(tool="prof", workload="fib", wl_args=(n,))
+             for n in ("8", "9", "10")]
+    first = run_matrix(specs, jobs=0, cache_spec=False)
+    assert all(rec.status == "ok" for rec in first)
+    assert len(parallel._base_memo) <= 2
+    again = run_matrix(specs[:1], jobs=0, cache_spec=False)[0]
+    assert again.identity() == first[0].identity()
+
+
 # ---- sharding -------------------------------------------------------------
 
 def test_shards_partition_the_matrix():

@@ -82,7 +82,7 @@ def test_worker_capture_ships_snapshot_when_not_owned(tmp_path):
     assert not TRACE.enabled
     parallel._base_memo.clear()          # force a fresh base run
     spec = TaskSpec(tool="prof", workload="fib")
-    rec = execute_task(spec, str(tmp_path / "cache"), True, True)
+    rec = execute_task(spec, str(tmp_path / "cache"), True)
     assert rec.status == "ok"
     assert rec.trace is not None
     names = [e["name"] for e in rec.trace["events"]]
@@ -94,7 +94,7 @@ def test_worker_capture_ships_snapshot_when_not_owned(tmp_path):
 def test_untraced_run_leaves_no_events(tmp_path):
     assert not TRACE.enabled
     rec = execute_task(TaskSpec(tool="prof", workload="fib"),
-                       str(tmp_path / "cache"), True, False)
+                       str(tmp_path / "cache"), False)
     assert rec.status == "ok"
     assert rec.trace is None
     assert TRACE.events == []

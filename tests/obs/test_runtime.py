@@ -23,6 +23,7 @@ from repro.atom import OptLevel
 from repro.eval.errors import EvalTimeout
 from repro.eval.runner import (apply_tool, run_instrumented,
                                run_uninstrumented)
+from repro.machine import run_module
 from repro.obs import Tracer, read_jsonl, runtime
 from repro.objfile.module import (PC_ATTR_GLUE, PC_ATTR_SAVE,
                                   PC_ATTR_SPLICE, Module)
@@ -78,7 +79,7 @@ def test_profile_identical_with_fusion_on_and_off(fib):
     docs = []
     for fuse in (True, False):
         s = runtime.PcSampler(997)
-        run_uninstrumented(fib, sampler=s, fuse=fuse)
+        run_module(fib, sampler=s, fuse=fuse)
         docs.append(runtime.profile_doc(s, fib))
     assert docs[0] == docs[1]
 
@@ -307,11 +308,11 @@ def test_heartbeats_leave_task_identity_bit_identical(tmp_path,
     cache = str(tmp_path / "cache")
     monkeypatch.setenv(runtime.ENV_HEARTBEAT, str(tmp_path / "hb.jsonl"))
     monkeypatch.setattr(parallel, "_base_memo", {})
-    with_hb = parallel._execute_task(spec, cache, True)
+    with_hb = parallel._execute_task(spec, cache)
 
     monkeypatch.delenv(runtime.ENV_HEARTBEAT)
     monkeypatch.setattr(parallel, "_base_memo", {})
-    without_hb = parallel._execute_task(spec, cache, True)
+    without_hb = parallel._execute_task(spec, cache)
 
     assert with_hb.status == "ok"
     assert with_hb.identity() == without_hb.identity()

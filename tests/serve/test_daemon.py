@@ -4,6 +4,8 @@ requests, one execution), protocol edge cases (oversized requests,
 overload shedding, client disconnect mid-stream), stale-socket
 recovery, and timeout/quarantine parity with the serial runner."""
 
+import base64
+import json
 import socket
 import threading
 import time
@@ -13,7 +15,7 @@ import pytest
 from repro.eval.parallel import TaskResult, TaskSpec, run_with_retries
 from repro.eval.runner import run_uninstrumented
 from repro.serve import DaemonThread, ServeClient, ServeError
-from repro.serve.protocol import encode_frame
+from repro.serve.protocol import encode_frame, spec_to_wire
 from repro.workloads import build_workload
 
 
@@ -63,23 +65,27 @@ def test_run_byte_identity_with_cold_path(client, exe):
     assert "queued" in phases and "dispatch" in phases
 
 
-def test_run_request_with_jit_key_succeeds(daemon, exe):
-    """perfbench/serve_mix.py still sends ``"jit": true`` on run
-    requests: the daemon ignores unknown top-level request keys, so the
-    request runs like one without it."""
-    import base64
-    import json
+def _terminal(sock_path, request: dict) -> dict:
+    """Send one raw request line; the terminal frame it ends in."""
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
         raw.settimeout(300.0)
-        raw.connect(str(daemon.socket_path))
-        raw.sendall(encode_frame({"op": "run", "id": "with-jit",
-                                  "exe": base64.b64encode(exe).decode(),
-                                  "args": ["12"], "max_insts": 500_000_000,
-                                  "fuse": True, "jit": True}))
+        raw.connect(str(sock_path))
+        raw.sendall(encode_frame(request))
         with raw.makefile("rb") as stream:
             frame = json.loads(stream.readline())
             while frame["type"] not in ("result", "error"):
                 frame = json.loads(stream.readline())
+    return frame
+
+
+def test_run_request_with_jit_key_succeeds(daemon, exe):
+    """perfbench/serve_mix.py still sends ``"jit": true`` on run
+    requests: the daemon ignores unknown top-level request keys, so the
+    request runs like one without it."""
+    frame = _terminal(daemon.socket_path, {
+        "op": "run", "id": "with-jit",
+        "exe": base64.b64encode(exe).decode(), "args": ["12"],
+        "max_insts": 500_000_000, "fuse": True, "jit": True})
     assert frame["type"] == "result", frame
     ref = ServeClient(daemon.socket_path, timeout=300.0).run_exe(
         exe, args=("12",))
@@ -88,9 +94,61 @@ def test_run_request_with_jit_key_succeeds(daemon, exe):
     assert "jit_stats" not in frame["run"]
 
 
+@pytest.mark.parametrize("fuse", [False, True])
+def test_requests_with_fuse_key_are_served(daemon, exe, fuse):
+    """perfbench/serve_mix.py sends ``"fuse": true`` on eval and run
+    requests.  Dispatch is the machine's choice, not the client's: the
+    key is ignored like any unknown top-level key, and either value
+    gets the reply a request without it gets."""
+    client = ServeClient(daemon.socket_path, timeout=300.0)
+    run = _terminal(daemon.socket_path, {
+        "op": "run", "exe": base64.b64encode(exe).decode(),
+        "args": ["12"], "max_insts": 500_000_000, "fuse": fuse})
+    assert run["type"] == "result", run
+    ref = client.run_exe(exe, args=("12",))
+    assert (run["run"]["status"], run["run"]["cycles"]) \
+        == (ref.status, ref.cycles)
+
+    spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
+    served = _terminal(daemon.socket_path, {
+        "op": "eval", "tenant": "fuse-key", "spec": spec_to_wire(spec),
+        "fuse": fuse})
+    assert served["type"] == "result", served
+    record = served["record"]
+    assert record["status"] == "ok"
+    assert TaskResult(**record).identity() == TaskResult(
+        **client.eval_task(spec, tenant="fuse-key")).identity()
+
+
+def test_evals_differing_only_in_fuse_coalesce(tmp_path):
+    """Two concurrent evals of one spec, one sending ``"fuse": true``
+    and one ``"fuse": false``, are the same request: one execution, one
+    dedup hit, one record."""
+    spec = spec_to_wire(TaskSpec(tool="prof", workload="fib",
+                                 wl_args=("10",)))
+    frames = {}
+    with DaemonThread(socket_path=tmp_path / "s.sock", jobs=1,
+                      batch_window=0.2,
+                      cache_root=tmp_path / "cache") as dt:
+        def fire(fuse):
+            frames[fuse] = _terminal(dt.socket_path, {
+                "op": "eval", "spec": spec, "fuse": fuse})
+
+        threads = [threading.Thread(target=fire, args=(fuse,))
+                   for fuse in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        stats = ServeClient(dt.socket_path).stats()
+    assert (stats["dedup_hits"], stats["executed"]) == (1, 1)
+    assert frames[True]["type"] == frames[False]["type"] == "result"
+    assert frames[True]["record"] == frames[False]["record"]
+
+
 def test_eval_record_matches_serial_runner(client):
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
-    ref = run_with_retries(spec, False, True, 1)
+    ref = run_with_retries(spec, False, 1)
     record = client.eval_task(spec, tenant="parity")
     record.pop("trace", None)
     served = TaskResult(**record)
@@ -106,7 +164,7 @@ def test_timeout_parity_with_serial_runner(client):
     quarantined, never retried)."""
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("15",),
                     base_max_insts=1000)
-    ref = run_with_retries(spec, False, True, 1)
+    ref = run_with_retries(spec, False, 1)
     assert ref.status == "timeout"          # the premise of the test
     record = client.eval_task(spec, tenant="parity", retries=1)
     record.pop("trace", None)
@@ -211,7 +269,6 @@ def test_disconnect_cancels_only_own_subscription(tmp_path, exe):
         # First subscriber: a raw socket we will slam shut mid-queue.
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         raw.connect(str(dt.socket_path))
-        import base64
         # Same parameters as ServeClient.run_exe's defaults, so both
         # subscribers land on the same dedup key.
         raw.sendall(encode_frame({"op": "run",
@@ -265,7 +322,6 @@ def test_unknown_op_and_bad_requests(daemon):
         raw.connect(str(daemon.socket_path))
         raw.sendall(request)
         with raw.makefile("rb") as stream:
-            import json
             return json.loads(stream.readline())
 
     frame = ask(encode_frame({"op": "frobnicate"}))

@@ -46,8 +46,7 @@ def _fake_result(spec: TaskSpec) -> TaskResult:
         pristine=True, stdout_sha="s", files_sha="f")
 
 
-def _crash_or_run(spec, cache_spec=None, fuse=True, trace=False,
-                  trace_id=None):
+def _crash_or_run(spec, cache_spec=None, trace=False, trace_id=None):
     if spec.task_id == _CRASH_ID:
         time.sleep(0.15)                # let innocent siblings start
         os._exit(1)                     # hard crash: breaks the pool
@@ -55,11 +54,11 @@ def _crash_or_run(spec, cache_spec=None, fuse=True, trace=False,
     return _fake_result(spec)
 
 
-def _raise(spec, cache_spec=None, fuse=True, trace=False, trace_id=None):
+def _raise(spec, cache_spec=None, trace=False, trace_id=None):
     raise RuntimeError("injected")
 
 
-def _crash_or_reply(exe, args, stdin, max_insts, fuse, trace=False,
+def _crash_or_reply(exe, args, stdin, max_insts, trace=False,
                     trace_id=None):
     """A ``run`` whose args pick its fate: ``crash`` kills the worker,
     a number is echoed back as cycles, anything else runs for real."""
@@ -71,7 +70,7 @@ def _crash_or_reply(exe, args, stdin, max_insts, fuse, trace=False,
         return {"timeout": False, "status": 0, "stdout": "",
                 "stderr": "", "files": {}, "cycles": int(args[0]),
                 "insts": 1}
-    return _REAL_RUN(exe, args, stdin, max_insts, fuse, trace, trace_id)
+    return _REAL_RUN(exe, args, stdin, max_insts, trace, trace_id)
 
 
 def _fire(jobs) -> dict:

@@ -56,8 +56,7 @@ def test_heartbeat_frame_matches_jsonl_row_shape():
 def test_spec_wire_roundtrip():
     spec = TaskSpec(tool="prof", workload="fib", opt="O2",
                     wl_args=("10",), stdin=b"\x00\xff",
-                    base_max_insts=123, max_insts=456, reps=2,
-                    warmup=True)
+                    base_max_insts=123, max_insts=456, warmup=True)
     assert spec_from_wire(spec_to_wire(spec)) == spec
 
 
@@ -117,10 +116,9 @@ def test_run_from_wire_rejects(wire, fragment):
 
 
 def test_options_from_wire():
-    assert options_from_wire({}) == (True, 1)
-    assert options_from_wire({"fuse": False, "retries": 0}) == (False, 0)
-    for wire, fragment in (({"fuse": 1}, "fuse must be a boolean"),
-                           ({"retries": -1}, "retries must be an integer"),
+    assert options_from_wire({}) == 1
+    assert options_from_wire({"retries": 0}) == 0
+    for wire, fragment in (({"retries": -1}, "retries must be an integer"),
                            ({"retries": True}, "retries must be an integer"),
                            ({"retries": 1.5}, "retries must be an integer")):
         with pytest.raises(ProtocolError) as exc:
@@ -158,29 +156,28 @@ def test_schema_is_v2_and_ops_include_metrics():
 
 def test_eval_dedup_key_identity():
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
-    key = eval_dedup_key(spec, "default", True, 1)
-    assert key == eval_dedup_key(spec, "default", True, 1)
+    key = eval_dedup_key(spec, "default", 1)
+    assert key == eval_dedup_key(spec, "default", 1)
     # Anything that can change the record changes the key.
-    assert key != eval_dedup_key(spec, "other", True, 1)
-    assert key != eval_dedup_key(spec, "default", False, 1)
-    assert key != eval_dedup_key(spec, "default", True, 2)
+    assert key != eval_dedup_key(spec, "other", 1)
+    assert key != eval_dedup_key(spec, "default", 2)
     other = TaskSpec(tool="prof", workload="fib", wl_args=("11",))
-    assert key != eval_dedup_key(other, "default", True, 1)
+    assert key != eval_dedup_key(other, "default", 1)
 
 
 def test_run_dedup_key_uses_exe_hash():
-    key = run_dedup_key(b"exe", ("a",), b"", 100, True, "t")
-    assert key == run_dedup_key(b"exe", ("a",), b"", 100, True, "t")
-    assert key != run_dedup_key(b"exe2", ("a",), b"", 100, True, "t")
-    assert key != run_dedup_key(b"exe", ("b",), b"", 100, True, "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"x", 100, True, "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"", 101, True, "t")
-    assert key != run_dedup_key(b"exe", ("a",), b"", 100, True, "u")
+    key = run_dedup_key(b"exe", ("a",), b"", 100, "t")
+    assert key == run_dedup_key(b"exe", ("a",), b"", 100, "t")
+    assert key != run_dedup_key(b"exe2", ("a",), b"", 100, "t")
+    assert key != run_dedup_key(b"exe", ("b",), b"", 100, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"x", 100, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"", 101, "t")
+    assert key != run_dedup_key(b"exe", ("a",), b"", 100, "u")
 
 
 def test_stdin_hashed_not_embedded_in_eval_key():
     big = bytes(range(256)) * 64
     spec = TaskSpec(tool="prof", workload="fib", stdin=big)
-    key = eval_dedup_key(spec, "default", True, 1)
+    key = eval_dedup_key(spec, "default", 1)
     assert base64.b64encode(big).decode() not in key
     assert len(key) == 64                     # sha256 hex

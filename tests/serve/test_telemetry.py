@@ -94,6 +94,36 @@ def test_one_request_produces_one_merged_trace(tmp_path):
     assert "process(es)" in text
 
 
+def test_traced_run_merges_worker_span_under_request_id(tmp_path, exe):
+    """A traced daemon's ``run`` request: the worker's ``interpret.base``
+    span is merged into the daemon's trace under the request's trace
+    id, and the terminal frame carries no ``trace`` key."""
+    import base64
+    trace_id = mint_trace_id()
+    TRACE.reset()
+    TRACE.enable()
+    try:
+        with DaemonThread(socket_path=tmp_path / "serve.sock", jobs=1,
+                          batch_window=0.02,
+                          cache_root=tmp_path / "cache") as dt:
+            line = _raw_terminal(dt.socket_path, {
+                "op": "run", "exe": base64.b64encode(exe).decode(),
+                "args": ["10"], "trace_id": trace_id})
+        snap = TRACE.snapshot()
+    finally:
+        TRACE.disable()
+        TRACE.reset()
+
+    frame = decode_frame(line)
+    assert frame["type"] == "result"
+    assert "trace" not in frame and "trace" not in frame["run"]
+    worker = [ev for ev in snap["events"]
+              if ev["name"] == "interpret.base"
+              and ev["args"].get("trace_id") == trace_id]
+    assert worker
+    assert all(ev["pid"] != os.getpid() for ev in worker)
+
+
 def test_deduped_follower_is_linked_to_executing_request(client, exe):
     """Concurrent identical requests coalesce; each follower's
     heartbeat stream carries its own trace id plus ``linked_to`` naming
