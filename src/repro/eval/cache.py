@@ -1,20 +1,24 @@
 """Content-addressed on-disk store for compiled evaluation artifacts.
 
 Compiling a workload, an analysis unit, or an instrumented executable is
-pure: the output is a function of the source text and the build flags.
-This module keys each artifact by a SHA-256 over those inputs and keeps
-the resulting blobs under ``.repro-cache/`` so repeat bench/eval runs —
-including runs in fresh worker processes — skip recompilation entirely.
+pure: the output is a function of the source text, the build flags and
+the pipeline that compiles them.  This module keys each artifact by a
+SHA-256 over those inputs and keeps the resulting blobs under
+``.repro-cache/`` so repeat bench/eval runs — including runs in fresh
+worker processes — skip recompilation entirely.  :func:`fetch_or_build`
+is the one path every kind of artifact takes through a store.
 
 Layout::
 
     <root>/objects/<k[:2]>/<k>     # k = 64-hex content key
                                    # blob = sha256(payload) || payload
 
-* The key hashes the *inputs* (source, flags, schema version); the
-  leading digest hashes the *payload*, so a corrupted or truncated blob
-  is detected on read, deleted, and treated as a miss — callers
-  recompile, they never crash on bad cache bytes.
+* The key hashes the *inputs* (source, flags, and the schema tag,
+  which digests the package's own source: editing any stage of the
+  pipeline changes every key); the leading digest hashes the
+  *payload*, so a corrupted or truncated blob is detected on read,
+  deleted, and treated as a miss — callers recompile, they never crash
+  on bad cache bytes.
 * Writes are atomic (temp file + ``os.replace``), so concurrent workers
   racing on the same key at worst both compile; the store never holds a
   half-written blob.
@@ -22,13 +26,13 @@ Layout::
   (``max_bytes``), past that many payload bytes on disk: the serve
   daemon layers per-tenant namespaces on this, giving every tenant its
   own rooted store whose eviction can only ever touch that tenant's
-  blobs.  ``WRL_CACHE_CAP`` overrides the default entry cap of 512.
-  Recency is tracked by stamping blobs with explicit,
-  strictly increasing nanosecond mtimes (``os.utime(path, ns=...)``) on
-  every store and hit: filesystem timestamp granularity can be as coarse
-  as one second, and letting hits tie would make eviction pick among hot
-  blobs effectively arbitrarily.  Ordering falls back to the blob name
-  only for stamps not issued by this process (e.g. a pre-existing tree).
+  blobs.  The default entry cap is 512.  Recency is tracked by stamping
+  blobs with explicit, strictly increasing nanosecond mtimes
+  (``os.utime(path, ns=...)``) on every store and hit: filesystem
+  timestamp granularity can be as coarse as one second, and letting
+  hits tie would make eviction pick among hot blobs effectively
+  arbitrarily.  Ordering falls back to the blob name only for stamps
+  not issued by this process (e.g. a pre-existing tree).
 
 Resolution order for the default store: disabled when ``WRL_CACHE`` is
 ``0``/``off``/``false``; rooted at ``WRL_CACHE_DIR`` when set; otherwise
@@ -37,6 +41,7 @@ Resolution order for the default store: disabled when ``WRL_CACHE`` is
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -46,27 +51,44 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .. import __version__ as _REPRO_VERSION
+from ..objfile.module import Module, ObjError
 from ..obs import TRACE
-
-#: Every key mixes in this tag and the package version, so a release
-#: bump invalidates stale artifacts wholesale; bump the schema suffix
-#: when the artifact format or the compiler pipeline changes
-#: incompatibly within a version.
-CACHE_SCHEMA = f"wrl-cache/v1/{_REPRO_VERSION}"
 
 DEFAULT_DIR_NAME = ".repro-cache"
 DEFAULT_CAP = 512
 
 ENV_DIR = "WRL_CACHE_DIR"
 ENV_TOGGLE = "WRL_CACHE"
-ENV_CAP = "WRL_CACHE_CAP"
 
 _DIGEST_LEN = 32
+
+#: The package's source: Python modules plus the MLC and assembly
+#: sources it compiles (runtime, tools, workloads).  Never bytecode.
+_PIPELINE_SUFFIXES = (".py", ".mlc", ".s")
 
 
 class CacheFormatError(Exception):
     """A cached payload did not unpack as the expected artifact."""
+
+
+@functools.cache
+def cache_schema() -> str:
+    """The tag every key and instrumented payload carries.
+
+    It digests every source file of the package, so a change to any
+    stage of the pipeline (compiler, linker, ATOM, tools, workloads)
+    keys every artifact afresh instead of serving ones an older
+    pipeline built.  Computed once per process, on first use.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for rel in sorted(path.relative_to(root).as_posix()
+                      for path in root.rglob("*")
+                      if path.suffix in _PIPELINE_SUFFIXES):
+        data = (root / rel).read_bytes()
+        digest.update(struct.pack(">QQ", len(rel), len(data)))
+        digest.update(rel.encode() + data)
+    return f"wrl-cache/v1/{digest.hexdigest()}"
 
 
 def cache_enabled() -> bool:
@@ -79,13 +101,6 @@ def default_cache_dir() -> Path:
     """``WRL_CACHE_DIR`` when set, else ``.repro-cache/`` under cwd."""
     override = os.environ.get(ENV_DIR)
     return Path(override) if override else Path.cwd() / DEFAULT_DIR_NAME
-
-
-def _default_cap() -> int:
-    try:
-        return max(1, int(os.environ.get(ENV_CAP, DEFAULT_CAP)))
-    except ValueError:
-        return DEFAULT_CAP
 
 
 @dataclass
@@ -101,10 +116,10 @@ class ArtifactCache:
     """One content-addressed blob store rooted at a directory."""
 
     def __init__(self, root: Path | str | None = None,
-                 cap: int | None = None,
+                 cap: int = DEFAULT_CAP,
                  max_bytes: int | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.cap = cap if cap is not None else _default_cap()
+        self.cap = cap
         #: Optional byte quota over the blobs on disk (None = entry cap
         #: only).  Eviction keeps the store under *both* limits.
         self.max_bytes = max_bytes
@@ -317,6 +332,58 @@ def get_default_cache() -> ArtifactCache | None:
     return cache
 
 
+# ---- fetch or build --------------------------------------------------------
+
+#: Exceptions a *malformed byte stream* can legitimately raise while
+#: decoding a cached artifact: truncated/garbled framing (struct.error),
+#: bad WOF structure (ObjError), stale or unparsable payload framing
+#: (CacheFormatError), and value/lookup failures from garbage contents
+#: (ValueError, KeyError).  Anything else — TypeError, AttributeError,
+#: NameError... — is a programming error in the decoder and must
+#: propagate: swallowing it would launder a real bug into a permanent
+#: cache miss that gets silently recompiled around forever.
+DECODE_ERRORS = (struct.error, ObjError, CacheFormatError, ValueError,
+                 KeyError)
+
+
+def fetch_or_build(cache, key, decode, build, encode=bytes):
+    """``(artifact, hit)``: the artifact stored under ``key``, or a new one.
+
+    ``cache`` is the store: an :class:`ArtifactCache`, None for none, or
+    :func:`get_default_cache` (the callers' default), looked up here.
+    ``key`` is called only when there is a store; it returns the content
+    key, or None for an artifact that cannot be keyed, which then skips
+    the store.
+
+    A stored payload goes through ``decode``.  One that raises one of
+    :data:`DECODE_ERRORS` is counted corrupt once and rebuilt; any other
+    exception is a decoder bug and propagates.  On a miss ``build()``
+    makes the artifact, and ``encode(artifact)`` is stored only when
+    there is a store to put it in.
+    """
+    store = cache() if callable(cache) else cache
+    key = key() if store is not None else None
+    if key is None:
+        return build(), False
+    payload = store.get(key)
+    if payload is not None:
+        try:
+            return decode(payload), True
+        except DECODE_ERRORS:
+            store.note_corrupt()
+    artifact = build()
+    store.put(key, encode(artifact))
+    return artifact, False
+
+
+def module_payload(payload: bytes) -> bytes:
+    """``payload`` itself, once it decodes as a WOF module: the decoder
+    of the artifacts stored as bare modules (workloads, analysis
+    units)."""
+    Module.from_bytes(payload)
+    return payload
+
+
 # ---- content keys ---------------------------------------------------------
 
 def content_key(kind: str, *parts: bytes | str | int | tuple) -> str:
@@ -326,7 +393,7 @@ def content_key(kind: str, *parts: bytes | str | int | tuple) -> str:
     ``("ab", "c")`` vs ``("a", "bc")``).
     """
     digest = hashlib.sha256()
-    for piece in (CACHE_SCHEMA, kind) + parts:
+    for piece in (cache_schema(), kind) + parts:
         if isinstance(piece, tuple):
             raw = json.dumps(piece, default=str).encode()
         elif isinstance(piece, (int, float)):
@@ -362,7 +429,7 @@ def instrument_key(app_bytes: bytes, analysis_source: str,
 
 def pack_instrument(module_bytes: bytes, stats: dict) -> bytes:
     """``[u32 header len][header JSON][module bytes]``."""
-    header = json.dumps({"schema": CACHE_SCHEMA, "stats": stats},
+    header = json.dumps({"schema": cache_schema(), "stats": stats},
                         sort_keys=True).encode()
     return struct.pack(">I", len(header)) + header + module_bytes
 
@@ -373,7 +440,7 @@ def unpack_instrument(payload: bytes) -> tuple[bytes, dict]:
         (header_len,) = struct.unpack_from(">I", payload)
         header = json.loads(payload[4:4 + header_len])
         module_bytes = payload[4 + header_len:]
-        if header.get("schema") != CACHE_SCHEMA:
+        if header.get("schema") != cache_schema():
             raise CacheFormatError(
                 f"stale cache schema {header.get('schema')!r}")
         return module_bytes, header["stats"]

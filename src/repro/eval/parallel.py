@@ -20,9 +20,12 @@ with:
 
 Workers share compiled artifacts through the content-addressed on-disk
 store (:mod:`repro.eval.cache`), so a warm cache makes a repeat matrix
-run execute zero compiles.  ``jobs=0`` runs the same records inline in
-the calling process — the serial reference the differential tests
-compare against.
+run execute zero compiles.  A cell's workload comes from the process
+default store (``WRL_CACHE_DIR``/``WRL_CACHE``, which workers inherit);
+its tool artifacts come from the task's one store, the default one
+unless the serve daemon passes a tenant's.  ``jobs=0`` runs the same
+records inline in the calling process — the serial reference the
+differential tests compare against.
 """
 
 from __future__ import annotations
@@ -46,9 +49,12 @@ from ..obs import (TRACE, mint_trace_id, trace_id_from_env,
                    trace_path_from_env)
 from ..obs.runtime import ENV_HEARTBEAT
 from ..tools import TOOL_NAMES, get_tool
-from ..workloads import WORKLOAD_NAMES, build_workload
+# The module, not its names: repro.workloads imports repro.eval.cache,
+# so it can still be initialising when this module loads.
+from .. import workloads as _workloads
 from . import runner
-from .cache import ArtifactCache, cache_enabled, default_cache_dir
+from .cache import (ENV_DIR, ENV_TOGGLE, cache_enabled, default_cache_dir,
+                    get_default_cache)
 from .errors import EvalTimeout
 
 MATRIX_SCHEMA = "repro-eval-matrix/v1"
@@ -210,24 +216,6 @@ _base_memo: dict[tuple, tuple] = {}
 _BASE_MEMO_CAP = 64
 
 
-def _resolve_worker_cache(cache_spec) -> ArtifactCache | None:
-    """Materialize a picklable cache spec in a worker process.
-
-    ``False`` disables the store, ``None`` uses the process default, a
-    path roots a store there, and a ``(root, cap, max_bytes)`` tuple —
-    the serve daemon's per-tenant namespaces — roots a quota-bounded
-    store whose eviction only ever touches that root.
-    """
-    if cache_spec is False:
-        return None
-    if cache_spec is None:
-        return runner._resolve_cache(runner._DEFAULT_CACHE)
-    if isinstance(cache_spec, tuple):
-        root, cap, max_bytes = cache_spec
-        return ArtifactCache(Path(root), cap=cap, max_bytes=max_bytes)
-    return ArtifactCache(Path(cache_spec))
-
-
 def _timed(run_fn, *, warmup: bool):
     """(result, wall seconds) with the bench warmup convention."""
     if warmup:
@@ -269,15 +257,19 @@ def traced_call(fn, trace: bool, trace_id: str | None):
     return result, snap
 
 
-def execute_task(spec: TaskSpec, cache_spec=None, trace: bool = False,
+def execute_task(spec: TaskSpec, cache=get_default_cache,
+                 trace: bool = False,
                  trace_id: str | None = None) -> TaskResult:
     """Run one cell; never raises — failures become the record status.
 
+    ``cache`` is the store of the cell's tool artifacts, as
+    :func:`repro.eval.runner.apply_tool` takes it: the process default
+    store unless the serve daemon passes a tenant's ``ArtifactCache``.
     ``trace=True`` captures the cell's spans and counters, shipped back
     in ``TaskResult.trace`` from a pool worker (:func:`traced_call`);
     ``trace_id`` is the request context the cell executes under.
     """
-    rec, snap = traced_call(lambda: _execute_task(spec, cache_spec),
+    rec, snap = traced_call(lambda: _execute_task(spec, cache),
                             trace, trace_id)
     rec.trace = snap
     return rec
@@ -297,9 +289,8 @@ def _heartbeat(spec: TaskSpec):
     return HeartbeatWriter(path, spec.task_id)
 
 
-def _execute_task(spec: TaskSpec, cache_spec) -> TaskResult:
+def _execute_task(spec: TaskSpec, cache) -> TaskResult:
     rec = TaskResult.of(spec)
-    cache = _resolve_worker_cache(cache_spec)
     analysis_before = runner.COMPILE_COUNTS["analysis"]
     t0 = time.perf_counter()
     task_span = TRACE.span("task", "eval", task=spec.task_id)
@@ -310,10 +301,7 @@ def _execute_task(spec: TaskSpec, cache_spec) -> TaskResult:
     if heartbeat is not None:
         heartbeat.emit("start")
     try:
-        # --no-cache keeps the workload out of the store too; every
-        # other spec compiles workloads through the default store.
-        app = build_workload(spec.workload, cache=None) \
-            if cache_spec is False else build_workload(spec.workload)
+        app = _workloads.build_workload(spec.workload)
         tool = get_tool(spec.tool)
 
         base_key = (spec.workload, spec.wl_args, spec.stdin,
@@ -385,8 +373,8 @@ def _execute_task(spec: TaskSpec, cache_spec) -> TaskResult:
     return rec
 
 
-def run_with_retries(spec: TaskSpec, cache_spec=None, retries: int = 1,
-                     trace: bool = False,
+def run_with_retries(spec: TaskSpec, cache=get_default_cache,
+                     retries: int = 1, trace: bool = False,
                      trace_id: str | None = None) -> TaskResult:
     """One cell with the serial retry/quarantine semantics.
 
@@ -400,7 +388,7 @@ def run_with_retries(spec: TaskSpec, cache_spec=None, retries: int = 1,
     attempt = 0
     while True:
         attempt += 1
-        rec = execute_task(spec, cache_spec, trace, trace_id)
+        rec = execute_task(spec, cache, trace, trace_id)
         if rec.status != "error" or attempt > retries:
             break
     rec.attempts = attempt
@@ -497,8 +485,8 @@ class PoolBreakPolicy:
         return dead
 
 
-def run_matrix(specs, *, jobs: int = 0, cache_spec=None,
-               retries: int = 1, wall_timeout: float | None = None,
+def run_matrix(specs, *, jobs: int = 0, retries: int = 1,
+               wall_timeout: float | None = None,
                num_shards: int = 1, progress=None,
                trace_id: str | None = None) -> list[TaskResult]:
     """Execute every spec; results come back in spec order.
@@ -535,8 +523,8 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None,
 
     if jobs <= 0:
         for idx, spec in enumerate(specs):
-            rec = run_with_retries(spec, cache_spec, retries, trace_on,
-                                   trace_id)
+            rec = run_with_retries(spec, retries=retries, trace=trace_on,
+                                   trace_id=trace_id)
             finish(idx, rec, rec.attempts)
         return [results[i] for i in range(len(specs))]
 
@@ -547,8 +535,8 @@ def run_matrix(specs, *, jobs: int = 0, cache_spec=None,
     inflight: dict = {}              # future -> (idx, generation, start)
 
     def submit(idx: int, attempt: int) -> None:
-        fut = pool.submit(execute_task, specs[idx], cache_spec, trace_on,
-                          trace_id)
+        fut = pool.submit(execute_task, specs[idx], trace=trace_on,
+                          trace_id=trace_id)
         inflight[fut] = (idx, breaks.dispatch(idx, attempt),
                          time.monotonic())
 
@@ -822,13 +810,13 @@ def main(argv=None) -> int:
     workloads = tuple(args.workloads.split(","))
     opts = tuple(args.opts.split(","))
     if args.all:
-        workloads = WORKLOAD_NAMES
+        workloads = _workloads.WORKLOAD_NAMES
     if args.quick:
         tools, workloads, opts = tools[:1], workloads[:1], opts[:1]
 
     for names, known, flag in (
             (tools, TOOL_NAMES, "--tools"),
-            (workloads, WORKLOAD_NAMES, "--workloads"),
+            (workloads, _workloads.WORKLOAD_NAMES, "--workloads"),
             (opts, tuple(level.name for level in OptLevel), "--opts")):
         unknown = [n for n in names if n not in known]
         if unknown:
@@ -850,11 +838,6 @@ def main(argv=None) -> int:
         print(f"wrl-eval: shard {shard}/{num_shards} selected none of "
               f"the {len(specs)} cells; nothing to do")
         return 0
-    cache_spec = False if args.no_cache else args.cache_dir
-    cache_root = ("(disabled)" if args.no_cache
-                  else args.cache_dir or
-                  (str(default_cache_dir()) if cache_enabled()
-                   else "(disabled by WRL_CACHE=0)"))
     server = args.server or os.environ.get("WRL_SERVER") or None
     tenant = args.tenant or os.environ.get("WRL_TENANT") or "default"
     trace_id = args.trace_id
@@ -862,15 +845,6 @@ def main(argv=None) -> int:
         # Thin clients mint the request context so the daemon's spans,
         # the workers' spans, and any client-side trace correlate.
         trace_id = mint_trace_id()
-    if server:
-        print(f"wrl-eval: {len(selected)}/{len(specs)} cells "
-              f"(shard {shard}/{num_shards}) via server {server}, "
-              f"tenant={tenant}, {args.jobs} concurrent requests, "
-              f"trace_id={trace_id}")
-    else:
-        print(f"wrl-eval: {len(selected)}/{len(specs)} cells "
-              f"(shard {shard}/{num_shards}), jobs={args.jobs}, "
-              f"cache={cache_root}")
 
     def progress(rec: TaskResult) -> None:
         mark = {"ok": ".", "timeout": "T", "error": "E"}[rec.status]
@@ -878,80 +852,77 @@ def main(argv=None) -> int:
                   if rec.status == "ok" else rec.error)
         print(f"  [{mark}] {rec.workload}+{rec.tool}@{rec.opt}: {detail}")
 
-    if server:
-        t0 = time.perf_counter()
-        records = run_matrix_via_server(
-            selected, server, tenant=tenant, jobs=max(1, args.jobs),
-            retries=args.retries, num_shards=num_shards,
-            progress=progress, trace_id=trace_id)
-        elapsed = time.perf_counter() - t0
-        config = {
-            "tools": list(tools), "workloads": list(workloads),
-            "opts": list(opts), "jobs": args.jobs, "shard": shard,
-            "num_shards": num_shards, "retries": args.retries,
-            "max_insts": args.max_insts,
-            "server": server, "tenant": tenant,
-        }
-        report = build_report(records, config)
-        validate_matrix_report(report)
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        summary = report["summary"]
-        print(f"wrote {out}")
-        print(f"  {summary['ok']}/{summary['total']} ok, "
-              f"{summary['timeout']} timeout, {summary['error']} error, "
-              f"{summary['quarantined']} quarantined")
-        print(f"  wall: {elapsed:.1f}s end-to-end via {server}")
-        return 0 if summary["ok"] == summary["total"] else 1
-
-    if args.heartbeat:
-        # Workers inherit the environment (fork and spawn alike), so the
-        # env var is the one channel that reaches every executor.
-        os.environ[ENV_HEARTBEAT] = str(Path(args.heartbeat).resolve())
-    if args.trace:
-        TRACE.reset()
-        TRACE.enable()
-    t0 = time.perf_counter()
-    try:
-        with TRACE.span("wrl-eval", "eval", cells=len(selected),
-                        jobs=args.jobs):
-            records = run_matrix(selected, jobs=args.jobs,
-                                 cache_spec=cache_spec,
-                                 retries=args.retries,
-                                 wall_timeout=args.timeout,
-                                 num_shards=num_shards, progress=progress,
-                                 trace_id=trace_id)
-    finally:
-        if args.trace:
-            TRACE.write(Path(args.trace))
-            TRACE.disable()
-            print(f"wrote trace to {args.trace}")
-        if args.heartbeat:
-            print(f"heartbeats in {args.heartbeat} "
-                  f"(tail -f while running; wrl-trace summary to "
-                  f"aggregate)")
-    elapsed = time.perf_counter() - t0
-
     config = {
         "tools": list(tools), "workloads": list(workloads),
         "opts": list(opts), "jobs": args.jobs, "shard": shard,
         "num_shards": num_shards, "retries": args.retries,
         "max_insts": args.max_insts,
-        "cache": not args.no_cache and cache_enabled(),
     }
+    if server:
+        print(f"wrl-eval: {len(selected)}/{len(specs)} cells "
+              f"(shard {shard}/{num_shards}) via server {server}, "
+              f"tenant={tenant}, {args.jobs} concurrent requests, "
+              f"trace_id={trace_id}")
+        config.update(server=server, tenant=tenant)
+        t0 = time.perf_counter()
+        records = run_matrix_via_server(
+            selected, server, tenant=tenant, jobs=max(1, args.jobs),
+            retries=args.retries, num_shards=num_shards,
+            progress=progress, trace_id=trace_id)
+    else:
+        # Workers inherit the environment (fork and spawn alike), so the
+        # env vars are the one channel that reaches every executor.
+        if args.cache_dir:
+            os.environ[ENV_DIR] = str(Path(args.cache_dir).resolve())
+        if args.no_cache:
+            os.environ[ENV_TOGGLE] = "0"
+        if args.heartbeat:
+            os.environ[ENV_HEARTBEAT] = str(Path(args.heartbeat).resolve())
+        config["cache"] = cache_enabled()
+        cache_root = (str(default_cache_dir()) if config["cache"]
+                      else "(disabled)")
+        print(f"wrl-eval: {len(selected)}/{len(specs)} cells "
+              f"(shard {shard}/{num_shards}), jobs={args.jobs}, "
+              f"cache={cache_root}")
+        if args.trace:
+            TRACE.reset()
+            TRACE.enable()
+        t0 = time.perf_counter()
+        try:
+            with TRACE.span("wrl-eval", "eval", cells=len(selected),
+                            jobs=args.jobs):
+                records = run_matrix(selected, jobs=args.jobs,
+                                     retries=args.retries,
+                                     wall_timeout=args.timeout,
+                                     num_shards=num_shards,
+                                     progress=progress, trace_id=trace_id)
+        finally:
+            if args.trace:
+                TRACE.write(Path(args.trace))
+                TRACE.disable()
+                print(f"wrote trace to {args.trace}")
+            if args.heartbeat:
+                print(f"heartbeats in {args.heartbeat} "
+                      f"(tail -f while running; wrl-trace summary to "
+                      f"aggregate)")
+    elapsed = time.perf_counter() - t0
+
     report = build_report(records, config)
     validate_matrix_report(report)
     out.write_text(json.dumps(report, indent=2) + "\n")
-
     summary = report["summary"]
     print(f"wrote {out}")
     print(f"  {summary['ok']}/{summary['total']} ok, "
           f"{summary['timeout']} timeout, {summary['error']} error, "
           f"{summary['quarantined']} quarantined")
-    print(f"  compiles: {summary['analysis_compiles']} analysis, "
-          f"{summary['instr_compiles']} instrument "
-          f"(0 of each = fully warm cache)")
-    print(f"  wall: {elapsed:.1f}s end-to-end, "
-          f"{summary['wall_s']:.1f}s of task time")
+    if server:
+        print(f"  wall: {elapsed:.1f}s end-to-end via {server}")
+    else:
+        print(f"  compiles: {summary['analysis_compiles']} analysis, "
+              f"{summary['instr_compiles']} instrument "
+              f"(0 of each = fully warm cache)")
+        print(f"  wall: {elapsed:.1f}s end-to-end, "
+              f"{summary['wall_s']:.1f}s of task time")
     return 0 if summary["ok"] == summary["total"] else 1
 
 

@@ -6,29 +6,30 @@ either version on the simulated machine collecting cycle counts.
 
 Caching is two-layered.  The in-memory maps below memoize blobs within
 one process; underneath them sits the content-addressed on-disk store
-(:mod:`repro.eval.cache`), so a warm ``.repro-cache/`` lets repeat runs —
-and fresh worker processes in the parallel pipeline — skip
-``build_analysis_unit``/``instrument_executable`` entirely.  Pass
-``cache=None`` to bypass the disk store for one call, or set
-``WRL_CACHE=0`` to disable it process-wide.
+(:mod:`repro.eval.cache`, through its one :func:`fetch_or_build`), so a
+warm ``.repro-cache/`` lets repeat runs — and fresh worker processes in
+the parallel pipeline — skip
+``build_analysis_unit``/``instrument_executable`` entirely.  ``cache=``
+names the store: by default the process default store; pass an
+``ArtifactCache`` for another, ``cache=None`` to bypass the disk store
+for one call, or set ``WRL_CACHE=0`` to disable it process-wide.
 """
 
 from __future__ import annotations
 
 import inspect
-import struct
 
 from ..atom import OptLevel, instrument_executable
 from ..atom.instrument import InstrumentResult, InstrumentStats
 from ..machine import RunResult, run_module
 from ..machine.cpu import BudgetExhausted
 from ..mlc import build_analysis_unit
-from ..objfile.module import Module, ObjError
+from ..objfile.module import Module
 from ..obs import TRACE
 from ..tools import Tool
-from .cache import (ArtifactCache, CacheFormatError, analysis_key,
-                    get_default_cache, instrument_key, pack_instrument,
-                    unpack_instrument)
+from .cache import (analysis_key, cache_schema, fetch_or_build,
+                    get_default_cache, instrument_key, module_payload,
+                    pack_instrument, unpack_instrument)
 from .errors import EvalTimeout
 
 #: Compiled analysis units keyed by a content hash of the analysis
@@ -44,17 +45,6 @@ _ANALYSIS_CACHE_CAP = 64
 #: The parallel pipeline snapshots these around each task to report
 #: cache effectiveness; tests assert warm-cache runs leave them flat.
 COMPILE_COUNTS = {"analysis": 0, "instrument": 0}
-
-#: Distinguishes "use the process default store" from an explicit
-#: ``cache=None`` (disable) or ``cache=ArtifactCache(...)``.
-_DEFAULT_CACHE = object()
-
-
-def _resolve_cache(cache) -> ArtifactCache | None:
-    if cache is _DEFAULT_CACHE:
-        return get_default_cache()
-    return cache
-
 
 #: The request trace id the current task is executing under (serve
 #: requests propagate theirs into the worker; local CLIs set it from
@@ -102,59 +92,33 @@ def preload_process() -> None:
     for name in TOOL_NAMES:
         tool = get_tool(name)
         tool.analysis_source                              # noqa: B018
+    cache_schema()              # key digest: paid here, not by a request
 
 
-def analysis_unit_for(tool: Tool, *, cache=_DEFAULT_CACHE) -> Module:
+def analysis_unit_for(tool: Tool, *, cache=get_default_cache) -> Module:
     """Compile the tool's analysis routines into a linked unit (cached)."""
-    return Module.from_bytes(_analysis_blob(tool, cache=cache))
+    return Module.from_bytes(_analysis_blob(tool, cache))
 
 
-def _analysis_blob(tool: Tool, *, cache=_DEFAULT_CACHE) -> bytes:
+def _analysis_blob(tool: Tool, cache) -> bytes:
     """The serialized analysis unit of ``tool``, compiled on a miss."""
     key = analysis_key(tool.analysis_source)
     blob = _analysis_cache.get(key)
     if blob is None:
-        disk = _resolve_cache(cache)
-        if disk is not None:
-            blob = disk.get(key)
-            if blob is not None and _module_or_none(blob, disk) is None:
-                blob = None                       # unreadable: recompile
-        if blob is None:
+        def build() -> bytes:
             COMPILE_COUNTS["analysis"] += 1
             with TRACE.span("compile.analysis", "instrument",
                             tool=tool.name) as sp:
                 _tag(sp)
                 unit = build_analysis_unit([tool.analysis_source],
                                            name=f"{tool.name}-analysis")
-            blob = unit.to_bytes()
-            if disk is not None:
-                disk.put(key, blob)
+            return unit.to_bytes()
+
+        blob, _ = fetch_or_build(cache, lambda: key, module_payload, build)
         while len(_analysis_cache) >= _ANALYSIS_CACHE_CAP:
             _analysis_cache.pop(next(iter(_analysis_cache)))
         _analysis_cache[key] = blob
     return blob
-
-
-#: Exceptions a *malformed byte stream* can legitimately raise while
-#: decoding a cached artifact: truncated/garbled framing (struct.error),
-#: bad WOF structure (ObjError), stale or unparsable payload framing
-#: (CacheFormatError), and value/lookup failures from garbage contents
-#: (ValueError, KeyError).  Anything else — TypeError, AttributeError,
-#: NameError... — is a programming error in the decoder and must
-#: propagate: swallowing it would launder a real bug into a permanent
-#: cache miss that gets silently recompiled around forever.
-_DECODE_ERRORS = (struct.error, ObjError, CacheFormatError, ValueError,
-                  KeyError)
-
-
-def _module_or_none(blob: bytes,
-                    cache: ArtifactCache | None = None) -> Module | None:
-    try:
-        return Module.from_bytes(blob)
-    except _DECODE_ERRORS:
-        if cache is not None:
-            cache.note_corrupt()
-        return None
 
 
 def _instrument_fingerprint(tool: Tool) -> str | None:
@@ -182,58 +146,52 @@ def apply_tool(app: Module, tool: Tool, *,
                opt: OptLevel = OptLevel.O1,
                heap_mode: str = "linked",
                tool_args: tuple[str, ...] = (),
-               cache=_DEFAULT_CACHE) -> InstrumentResult:
+               cache=get_default_cache) -> InstrumentResult:
     """Instrument ``app`` with ``tool`` (the paper's step 2).
 
     With a warm artifact cache the instrumented module and its stats are
     rehydrated from disk (``result.cached`` is True and ``result.plans``
     is None); otherwise the instrumenter runs and its output is stored.
+    With ``cache=None`` nothing is keyed, fingerprinted or encoded.
     """
     with TRACE.span("apply_tool", "instrument", tool=tool.name,
                     opt=opt.name) as sp:
         _tag(sp)
-        disk = _resolve_cache(cache)
-        key = None
-        if disk is not None:
+
+        def key() -> str | None:
             fingerprint = _instrument_fingerprint(tool)
-            if fingerprint is not None:
-                key = instrument_key(app.to_bytes(), tool.analysis_source,
-                                     fingerprint, opt.name, heap_mode,
-                                     tuple(tool_args))
-                payload = disk.get(key)
-                if payload is not None:
-                    hit = _instrument_from_payload(payload, disk)
-                    if hit is not None:
-                        sp.add(cached=True)
-                        return hit
-        COMPILE_COUNTS["instrument"] += 1
-        # The unit goes in serialized: instrument_executable decodes its
-        # own copy, so the unit is decoded once per rewrite.
-        result = instrument_executable(app, tool.instrument,
-                                       _analysis_blob(tool, cache=cache),
-                                       opt=opt, heap_mode=heap_mode,
-                                       tool_args=tool_args)
-        if key is not None:
-            stats = {k: v for k, v in vars(result.stats).items()}
-            disk.put(key, pack_instrument(result.module.to_bytes(), stats))
-        sp.add(cached=False, points=result.stats.points,
-               calls_added=result.stats.calls_added)
+            if fingerprint is None:
+                return None
+            return instrument_key(app.to_bytes(), tool.analysis_source,
+                                  fingerprint, opt.name, heap_mode,
+                                  tuple(tool_args))
+
+        def build() -> InstrumentResult:
+            COMPILE_COUNTS["instrument"] += 1
+            # The unit goes in serialized: instrument_executable decodes
+            # its own copy, so the unit is decoded once per rewrite.
+            return instrument_executable(app, tool.instrument,
+                                         _analysis_blob(tool, cache),
+                                         opt=opt, heap_mode=heap_mode,
+                                         tool_args=tool_args)
+
+        result, hit = fetch_or_build(cache, key, _decode_instrumented,
+                                     build, _encode_instrumented)
+        if hit:
+            sp.add(cached=True)
+        else:
+            sp.add(cached=False, points=result.stats.points,
+                   calls_added=result.stats.calls_added)
         return result
 
 
-def _instrument_from_payload(payload: bytes,
-                             cache: ArtifactCache | None = None,
-                             ) -> InstrumentResult | None:
-    try:
-        module_bytes, stats = unpack_instrument(payload)
-        module = Module.from_bytes(module_bytes)
-    except _DECODE_ERRORS:
-        # Malformed or stale payload: a counted miss, recompiled below.
-        # Decoder bugs (TypeError & co.) propagate — see _DECODE_ERRORS.
-        if cache is not None:
-            cache.note_corrupt()
-        return None
-    return InstrumentResult(module=module,
+def _encode_instrumented(result: InstrumentResult) -> bytes:
+    return pack_instrument(result.module.to_bytes(), vars(result.stats))
+
+
+def _decode_instrumented(payload: bytes) -> InstrumentResult:
+    module_bytes, stats = unpack_instrument(payload)
+    return InstrumentResult(module=Module.from_bytes(module_bytes),
                             stats=InstrumentStats(**stats),
                             plans=None, cached=True)
 

@@ -16,9 +16,9 @@ behind a unix-domain socket speaking the newline-JSON protocol of
 * **Admission control** — at most ``max_queue`` requests are queued or
   executing; past that the daemon *sheds* with a structured
   ``overloaded`` error immediately instead of stacking latency.
-* **Per-tenant quotas** — every tenant's artifacts live in their own
-  cache namespace (:mod:`repro.serve.quota`); a tenant over its entry or
-  byte quota evicts only its own blobs.
+* **Per-tenant quotas** — every tenant's tool artifacts live in their
+  own cache namespace (:mod:`repro.serve.quota`); a tenant over its
+  entry or byte quota evicts only its own blobs.
 * **Pool breaks** — a crashed worker breaks the whole pool; the
   daemon drives the same :class:`repro.eval.parallel.PoolBreakPolicy`
   as ``run_matrix``, so an innocent request beside a crasher ends
@@ -87,18 +87,18 @@ def _warm_worker() -> None:
 def _execute_eval_batch(items, trace: bool = False) -> list[dict]:
     """Run a shard-aware batch of eval cells serially in one worker.
 
-    ``items`` is ``[(spec, cache_spec, retries, trace_id), ...]`` — all
-    cells of a batch share a workload, so after the first the worker's
-    memoized uninstrumented baseline makes the rest
-    instrumentation-only.  Records use the exact serial
-    retry/quarantine semantics (:func:`run_with_retries`), shipped back
-    as plain dicts.  With ``trace``, each record carries the worker's
+    ``items`` is ``[(spec, cache, retries, trace_id), ...]``, ``cache``
+    being the tenant's ``ArtifactCache`` — all cells of a batch share a
+    workload, so after the first the worker's memoized uninstrumented
+    baseline makes the rest instrumentation-only.  Records use the exact
+    serial retry/quarantine semantics (:func:`run_with_retries`),
+    shipped back as plain dicts.  With ``trace``, each record carries the worker's
     captured span snapshot (stamped with the request's trace id) for
     the daemon to merge; it never reaches the wire.
     """
     out = []
-    for spec, cache_spec, retries, trace_id in items:
-        rec = run_with_retries(spec, cache_spec, retries, trace, trace_id)
+    for spec, cache, retries, trace_id in items:
+        rec = run_with_retries(spec, cache, retries, trace, trace_id)
         doc = asdict(rec)
         if not trace:
             doc["trace"] = None
@@ -596,7 +596,7 @@ class Daemon:
             # A probe's earlier solo breaks were attempts: the worker
             # gets the retries left, and the record counts them all.
             items = [(entry.payload,
-                      self.tenants.cache_spec(entry.tenant),
+                      self.tenants.cache(entry.tenant),
                       entry.retries - attempt + 1, entry.trace_id)
                      for entry in batch]
             fut = loop.run_in_executor(self.pool, _execute_eval_batch,

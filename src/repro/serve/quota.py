@@ -8,8 +8,9 @@ root by construction, a tenant blowing through its quota can only ever
 evict *its own* blobs — a noisy tenant degrades its own hit rate, not
 its neighbours'.
 
-Workers receive the namespace as a picklable ``(root, cap, max_bytes)``
-tuple (see :func:`repro.eval.parallel._resolve_worker_cache`); this
+The daemon passes a tenant's store object itself to the worker that
+runs the tenant's eval cell, as that cell's one store for tool
+artifacts (workloads still come from the worker's default store); this
 module only decides *where* each tenant's store lives and reports usage
 for the ``stats`` op.
 """
@@ -41,13 +42,9 @@ class TenantCaches:
     def tenant_root(self, tenant: str) -> Path:
         return self.root / tenant
 
-    def cache_spec(self, tenant: str) -> tuple[str, int, int | None]:
-        """The picklable worker-side spec for this tenant's store."""
-        self._seen.add(tenant)
-        return (str(self.tenant_root(tenant)), self.cap, self.max_bytes)
-
     def cache(self, tenant: str) -> ArtifactCache:
-        """An in-process handle on the tenant's store (usage/tests)."""
+        """A fresh handle on the tenant's store; it pickles, so the
+        daemon hands it to the worker that runs the tenant's cell."""
         self._seen.add(tenant)
         return ArtifactCache(self.tenant_root(tenant), cap=self.cap,
                              max_bytes=self.max_bytes)

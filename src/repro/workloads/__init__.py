@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import importlib.resources as resources
 
+from ..eval.cache import (executable_key, fetch_or_build,
+                          get_default_cache, module_payload)
 from ..machine import RunResult, run_module
 from ..mlc import build_executable
 from ..objfile.module import Module
@@ -25,10 +27,6 @@ WORKLOAD_NAMES = (
 
 _exe_cache: dict[str, bytes] = {}
 
-#: Distinguishes "use the process default store" from an explicit
-#: ``cache=None`` (no disk store) or ``cache=ArtifactCache(...)``.
-_DEFAULT_CACHE = object()
-
 
 def load_source(name: str) -> str:
     """Read one workload's MLC source."""
@@ -38,7 +36,7 @@ def load_source(name: str) -> str:
         .joinpath(f"programs/{name}.mlc").read_text()
 
 
-def build_workload(name: str, *, cache=_DEFAULT_CACHE) -> Module:
+def build_workload(name: str, *, cache=get_default_cache) -> Module:
     """Compile and link one workload (cached).
 
     Two layers: an in-memory blob memo for this process, backed by the
@@ -47,32 +45,13 @@ def build_workload(name: str, *, cache=_DEFAULT_CACHE) -> Module:
     to bypass the disk store for one call.
     """
     blob = _exe_cache.get(name)
-    if blob is not None:
-        return Module.from_bytes(blob)
-    # Imported lazily: repro.eval pulls this module in at package
-    # import time, so a top-level import would be circular.
-    from ..eval.cache import executable_key, get_default_cache
-    from ..eval.runner import _DECODE_ERRORS
-    source = load_source(name)
-    disk = get_default_cache() if cache is _DEFAULT_CACHE else cache
-    key = executable_key((source,), name)
-    module = None
-    if disk is not None:
-        blob = disk.get(key)
-        if blob is not None:
-            try:
-                module = Module.from_bytes(blob)
-            except _DECODE_ERRORS:
-                # Unreadable blob: a counted miss, recompiled below.
-                # Decoder bugs (TypeError & co.) propagate.
-                disk.note_corrupt()
-    if module is None:
-        blob = build_executable([source], name=name).to_bytes()
-        if disk is not None:
-            disk.put(key, blob)
-        module = Module.from_bytes(blob)
-    _exe_cache[name] = blob
-    return module
+    if blob is None:
+        source = load_source(name)
+        blob, _ = fetch_or_build(
+            cache, lambda: executable_key((source,), name), module_payload,
+            lambda: build_executable([source], name=name).to_bytes())
+        _exe_cache[name] = blob
+    return Module.from_bytes(blob)
 
 
 def run_workload(name: str, *, args=(), **kw) -> RunResult:

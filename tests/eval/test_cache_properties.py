@@ -5,11 +5,18 @@ ingredient misses, and a corrupted on-disk blob is detected, discarded,
 and transparently recompiled — never crashes, never serves bad bytes.
 """
 
+import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
+from repro import workloads
 from repro.eval import cache as cache_mod
 from repro.eval import runner
 from repro.eval.cache import (ArtifactCache, CacheFormatError,
@@ -17,8 +24,9 @@ from repro.eval.cache import (ArtifactCache, CacheFormatError,
                               default_cache_dir, executable_key,
                               get_default_cache, instrument_key,
                               pack_instrument, unpack_instrument)
+from repro.objfile.module import Module
 from repro.tools import get_tool
-from repro.workloads import build_workload
+from repro.workloads import build_workload, load_source
 
 
 # ---- key properties -------------------------------------------------------
@@ -45,6 +53,46 @@ def test_length_framing_prevents_concatenation_collisions(parts):
 def test_kind_is_part_of_the_key():
     assert analysis_key("src") != executable_key(("src",), "src")
     assert content_key("a", "x") != content_key("b", "x")
+
+
+_PROBE = """\
+import json
+from repro.eval import apply_tool
+from repro.tools import get_tool
+from repro.workloads import build_workload
+result = apply_tool(build_workload("fib"), get_tool("prof"))
+print(json.dumps([result.cached, sorted(result.module.meta)]))
+"""
+
+
+def test_keys_cover_the_pipeline_source(tmp_path):
+    """Two trees that differ in one line of ATOM share a store: the
+    changed tree must build its own rewrite, not get the other tree's
+    (the keys once mixed in only the package version)."""
+    src = Path(repro.__file__).resolve().parents[1]
+    changed = tmp_path / "src"
+    shutil.copytree(src / "repro", changed / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    instrument = changed / "repro" / "atom" / "instrument.py"
+    anchor = '    final.meta["atom:opt_level"] = int(opt)\n'
+    text = instrument.read_text()
+    assert anchor in text
+    instrument.write_text(
+        text.replace(anchor, anchor + '    final.meta["atom:probe"] = 1\n'))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("WRL_")}
+    env["WRL_CACHE_DIR"] = str(tmp_path / "store")
+
+    def rewrite(tree):
+        out = subprocess.run([sys.executable, "-c", _PROBE],
+                             env={**env, "PYTHONPATH": str(tree)},
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    cached, meta = rewrite(src)
+    assert not cached and "atom:probe" not in meta
+    cached, meta = rewrite(changed)
+    assert not cached and "atom:probe" in meta
 
 
 @given(st.sampled_from(["app", "analysis", "fingerprint", "opt",
@@ -238,59 +286,92 @@ def test_corrupt_analysis_blob_recompiles(tmp_path):
     assert rebuilt.to_bytes() == pristine
 
 
-def test_garbage_instrument_payload_recompiles(tmp_path):
-    """A blob that passes the integrity hash but does not unpack as an
-    instrumented executable is treated as a miss, not a crash."""
-    cache = ArtifactCache(tmp_path)
-    app = build_workload("fib")
-    tool = get_tool("prof")
-    fingerprint = runner._instrument_fingerprint(tool)
-    key = instrument_key(app.to_bytes(), tool.analysis_source,
-                         fingerprint, "O1", "linked", ())
-    cache.put(key, b"this is not an instrumented executable")
-    before = runner.COMPILE_COUNTS["instrument"]
-    result = runner.apply_tool(app, tool, cache=cache)
-    assert runner.COMPILE_COUNTS["instrument"] == before + 1
-    assert not result.cached
-    # The bad blob was replaced; the next call hits.
-    warm = runner.apply_tool(app, tool, cache=cache)
-    assert warm.cached
-    assert warm.module.to_bytes() == result.module.to_bytes()
+# ---- undecodable payloads, for every kind of artifact ----------------------
+
+_PROF = get_tool("prof")
 
 
-def test_undecodable_payload_is_a_counted_corruption(tmp_path):
-    """A digest-valid blob whose contents do not unpack is a *counted*
-    miss: the store's corrupt counter must move so the failure shows up
-    in trace summaries instead of being silently recompiled around."""
-    cache = ArtifactCache(tmp_path)
-    app = build_workload("fib")
-    tool = get_tool("prof")
-    fingerprint = runner._instrument_fingerprint(tool)
-    key = instrument_key(app.to_bytes(), tool.analysis_source,
-                         fingerprint, "O1", "linked", ())
-    cache.put(key, b"digest-valid but not an instrument payload")
-    before = cache.stats.corrupt
-    runner.apply_tool(app, tool, cache=cache)
-    assert cache.stats.corrupt == before + 1
+def _fetch_workload(store):
+    workloads._exe_cache.pop("fib", None)
+    return build_workload("fib", cache=store).to_bytes()
 
 
-def test_decoder_bug_propagates_not_swallowed(tmp_path):
+def _fetch_analysis(store):
+    runner._analysis_cache.pop(analysis_key(_PROF.analysis_source), None)
+    return runner.analysis_unit_for(_PROF, cache=store).to_bytes()
+
+
+def _fetch_instrumented(store):
+    app = build_workload("fib", cache=None)
+    return runner.apply_tool(app, _PROF, cache=store).module.to_bytes()
+
+
+def _instrumented_key():
+    return instrument_key(build_workload("fib", cache=None).to_bytes(),
+                          _PROF.analysis_source,
+                          runner._instrument_fingerprint(_PROF), "O1",
+                          "linked", ())
+
+
+#: kind -> (its key, a lookup through its public API with a cold
+#: in-process memo, and the framing a module's bytes get in its payload)
+ARTIFACTS = {
+    "workload": (lambda: executable_key((load_source("fib"),), "fib"),
+                 _fetch_workload, lambda module_bytes: module_bytes),
+    "analysis": (lambda: analysis_key(_PROF.analysis_source),
+                 _fetch_analysis, lambda module_bytes: module_bytes),
+    "instrumented": (_instrumented_key, _fetch_instrumented,
+                     lambda module_bytes: pack_instrument(module_bytes, {})),
+}
+
+
+def _no_compiles(monkeypatch):
+    def forbidden(*args, **kw):
+        raise AssertionError("compiled despite a stored artifact")
+
+    monkeypatch.setattr(runner, "build_analysis_unit", forbidden)
+    monkeypatch.setattr(runner, "instrument_executable", forbidden)
+    monkeypatch.setattr(workloads, "build_executable", forbidden)
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_undecodable_payload_is_a_counted_corruption(kind, tmp_path,
+                                                     monkeypatch):
+    """A digest-valid blob whose contents do not decode is a *counted*
+    miss, once: the store's corrupt counter moves so the failure shows
+    in trace summaries, and the rebuilt artifact replaces the blob, so
+    the next lookup hits and returns the same bytes."""
+    key, fetch, _ = ARTIFACTS[kind]
+    store = ArtifactCache(tmp_path)
+    store.put(key(), b"digest-valid but not a stored artifact")
+    built = fetch(store)
+    assert store.stats.corrupt == 1
+    _no_compiles(monkeypatch)
+    assert fetch(store) == built
+    assert store.stats.corrupt == 1
+
+
+@pytest.mark.parametrize("kind", sorted(ARTIFACTS))
+def test_decoder_bug_propagates_not_swallowed(kind, tmp_path, monkeypatch):
     """Regression: the cache-decode path caught blanket ``Exception``,
-    so a programming error in the decoder (here: a stats dict whose keys
-    no longer match InstrumentStats) was laundered into a permanent
-    cache miss.  Such errors must raise."""
-    cache = ArtifactCache(tmp_path)
-    app = build_workload("fib")
-    tool = get_tool("prof")
-    pristine = runner.apply_tool(app, tool, cache=cache)
-    fingerprint = runner._instrument_fingerprint(tool)
-    key = instrument_key(app.to_bytes(), tool.analysis_source,
-                         fingerprint, "O1", "linked", ())
-    bad = pack_instrument(pristine.module.to_bytes(),
-                          {"not_a_stats_field": 1})
-    cache.put(key, bad)
-    with pytest.raises(TypeError):
-        runner.apply_tool(app, tool, cache=cache)
+    so a programming error in the decoder was laundered into a
+    permanent cache miss.  Only ``cache.DECODE_ERRORS`` count as a
+    corrupt blob; a ``TypeError`` raises and counts nothing."""
+    key, fetch, frame = ARTIFACTS[kind]
+    planted = b"the decoder breaks on this module only"
+    store = ArtifactCache(tmp_path)
+    store.put(key(), frame(planted))
+    decode = Module.from_bytes.__func__
+
+    def broken(cls, blob):
+        if blob == planted:
+            raise TypeError("decoder bug")
+        return decode(cls, blob)
+
+    monkeypatch.setattr(Module, "from_bytes", classmethod(broken))
+    with pytest.raises(TypeError, match="decoder bug"):
+        fetch(store)
+    assert store.stats.corrupt == 0
 
 
 def test_taint_env_perturbs_the_instrument_fingerprint(monkeypatch):

@@ -14,6 +14,9 @@ set — all 20 with ``WRL_MATRIX_FULL=1``.
 """
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,14 +141,16 @@ def test_instrument_stats_survive_the_artifact_cache(tmp_path):
     assert warm.plans is None            # not persisted, by design
 
 
-def test_gprof_o3_proc_after_identical_in_workers(tmp_path):
+def test_gprof_o3_proc_after_identical_in_workers(tmp_path, monkeypatch):
     """gprof attaches ProcAfter snippets; at O3 their save plans depend
     on the exit-liveness fix from PR 1.  A worker process must produce
     the same instrumented behaviour and stats as the calling process."""
     spec = TaskSpec(tool="gprof", workload=FAST_WORKLOAD, opt="O3")
-    cache_dir = str(tmp_path / "cache")
-    inline = run_matrix([spec], jobs=0, cache_spec=cache_dir)[0]
-    worker = run_matrix([spec], jobs=1, cache_spec=False)[0]
+    monkeypatch.setenv("WRL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("WRL_CACHE", raising=False)
+    inline = run_matrix([spec], jobs=0)[0]
+    monkeypatch.setenv("WRL_CACHE", "0")     # the worker runs store-free
+    worker = run_matrix([spec], jobs=1)[0]
     assert inline.status == worker.status == "ok"
     assert inline.identity() == worker.identity()
     # And both agree with a direct instrumentation in this process.
@@ -155,18 +160,43 @@ def test_gprof_o3_proc_after_identical_in_workers(tmp_path):
     assert direct.stats.calls_added == inline.calls_added
 
 
-def test_no_cache_leaves_the_default_store_untouched(tmp_path,
-                                                     monkeypatch):
-    """``cache_spec=False`` (``wrl-eval --no-cache``) keeps every
-    artifact out of the disk store, the compiled workload included."""
+def _wrl_eval(tmp_path, *flags, env=()):
+    """Run ``wrl-eval --quick`` in a fresh process from an empty cwd,
+    with no ``WRL_*`` variable but those in ``env``; returns the cwd."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    out = tmp_path / "out"
+    out.mkdir()
+    src = Path(runner.__file__).resolve().parents[2]
+    environ = {k: v for k, v in os.environ.items()
+               if not k.startswith("WRL_")}
+    environ.update(env, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-m", "repro.eval.parallel", "--quick",
+                    "--out", str(out / "matrix.json"), *flags],
+                   cwd=cwd, env=environ, check=True, capture_output=True,
+                   timeout=300)
+    return cwd
+
+
+@pytest.mark.parametrize("jobs", ["0", "2"])
+def test_cache_dir_roots_every_artifact(tmp_path, jobs):
+    """``--cache-dir DIR`` holds the workload, the analysis unit and the
+    instrumented executable alike, inline and in workers; nothing lands
+    in the default store under the cwd."""
+    store = tmp_path / "store"
+    cwd = _wrl_eval(tmp_path, "--jobs", jobs, "--cache-dir", str(store))
+    assert list(cwd.iterdir()) == []
+    assert len(list(store.glob("objects/*/*"))) == 3
+
+
+def test_no_cache_leaves_the_default_store_untouched(tmp_path):
+    """``wrl-eval --no-cache`` keeps every artifact out of the disk
+    store, the compiled workload included."""
     store = tmp_path / "store"
     store.mkdir()
-    monkeypatch.setenv("WRL_CACHE_DIR", str(store))
-    monkeypatch.delenv("WRL_CACHE", raising=False)
-    monkeypatch.setattr(workloads, "_exe_cache", {})
-    spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
-    rec = run_matrix([spec], jobs=0, cache_spec=False)[0]
-    assert rec.status == "ok", rec.error
+    cwd = _wrl_eval(tmp_path, "--jobs", "0", "--no-cache",
+                    env={"WRL_CACHE_DIR": str(store)})
+    assert list(cwd.iterdir()) == []
     assert list(store.rglob("*")) == []
 
 
@@ -174,14 +204,15 @@ def test_base_memo_keeps_the_most_recent_baselines(monkeypatch):
     """The per-process baseline memo is bounded: past its cap the least
     recently used baseline goes, and a re-run of an evicted cell gives
     the same record."""
+    monkeypatch.setenv("WRL_CACHE", "0")
     monkeypatch.setattr(parallel, "_BASE_MEMO_CAP", 2)
     monkeypatch.setattr(parallel, "_base_memo", {})
     specs = [TaskSpec(tool="prof", workload="fib", wl_args=(n,))
              for n in ("8", "9", "10")]
-    first = run_matrix(specs, jobs=0, cache_spec=False)
+    first = run_matrix(specs, jobs=0)
     assert all(rec.status == "ok" for rec in first)
     assert len(parallel._base_memo) <= 2
-    again = run_matrix(specs[:1], jobs=0, cache_spec=False)[0]
+    again = run_matrix(specs[:1], jobs=0)[0]
     assert again.identity() == first[0].identity()
 
 
@@ -210,11 +241,17 @@ def test_shard_assignment_is_deterministic_and_positional_free():
 
 # ---- failure handling -----------------------------------------------------
 
-def test_bad_tool_is_quarantined_not_fatal(tmp_path):
+@pytest.fixture
+def tmp_store(tmp_path, monkeypatch):
+    """The process default store rooted in a fresh directory."""
+    monkeypatch.setenv("WRL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("WRL_CACHE", raising=False)
+
+
+def test_bad_tool_is_quarantined_not_fatal(tmp_store):
     specs = [TaskSpec(tool="no-such-tool", workload="fib"),
              TaskSpec(tool="prof", workload="fib")]
-    records = run_matrix(specs, jobs=0, retries=2,
-                         cache_spec=str(tmp_path / "cache"))
+    records = run_matrix(specs, jobs=0, retries=2)
     bad, good = records
     assert bad.status == "error" and bad.quarantined
     assert "no-such-tool" in bad.error
@@ -222,33 +259,31 @@ def test_bad_tool_is_quarantined_not_fatal(tmp_path):
     assert good.status == "ok" and not good.quarantined
 
 
-def test_budget_timeout_is_recorded_not_retried(tmp_path):
+def test_budget_timeout_is_recorded_not_retried(tmp_store):
     spec = TaskSpec(tool="prof", workload="fib", max_insts=1_000)
-    rec = run_matrix([spec], jobs=0, retries=3,
-                     cache_spec=str(tmp_path / "cache"))[0]
+    rec = run_matrix([spec], jobs=0, retries=3)[0]
     assert rec.status == "timeout" and rec.quarantined
     assert rec.attempts == 1             # deterministic: retry is futile
     assert "budget" in rec.error
 
 
-def test_wall_timeout_quarantines_wedged_worker(tmp_path):
+def test_wall_timeout_quarantines_wedged_worker(tmp_store):
     """A worker that overruns the wall-clock backstop is killed and its
     task quarantined; the run still returns a record for it."""
     spec = TaskSpec(tool="cache", workload="merge")
-    rec = run_matrix([spec], jobs=1, wall_timeout=0.2,
-                     cache_spec=str(tmp_path / "cache"))[0]
+    rec = run_matrix([spec], jobs=1, wall_timeout=0.2)[0]
     assert rec.status == "timeout" and rec.quarantined
     assert "wall timeout" in rec.error
 
 
 # ---- report schema --------------------------------------------------------
 
-def test_matrix_report_roundtrip(tmp_path):
+def test_matrix_report_roundtrip(tmp_path, tmp_store):
     import json
     from repro.eval.parallel import (build_report, load_matrix_report,
                                      validate_matrix_report)
     specs = plan_matrix(tools=("prof",), workloads=("fib",))
-    records = run_matrix(specs, jobs=0, cache_spec=str(tmp_path / "c"))
+    records = run_matrix(specs, jobs=0)
     report = build_report(records, config={"tools": ["prof"]})
     validate_matrix_report(report)
     path = tmp_path / "EVAL_matrix.json"
@@ -292,7 +327,7 @@ def test_analysis_output_bit_identical_across_opt_levels(tmp_path):
 
 
 @pytest.mark.matrix
-def test_full_matrix_conformance(tmp_path):
+def test_full_matrix_conformance(tmp_store):
     if os.environ.get("WRL_MATRIX_FULL"):
         wl_set = WORKLOAD_NAMES
     else:
@@ -304,10 +339,9 @@ def test_full_matrix_conformance(tmp_path):
                     opts=("O1", "O4")),
         shard, num_shards)
     assert specs, "shard selected no cells"
-    cache_dir = str(tmp_path / "cache")
-    serial = run_matrix(specs, jobs=0, cache_spec=cache_dir)
+    serial = run_matrix(specs, jobs=0)
     _clear_in_memory_caches()
-    par = run_matrix(specs, jobs=2, cache_spec=cache_dir)
+    par = run_matrix(specs, jobs=2)
     for s_rec, p_rec in zip(serial, par):
         assert s_rec.status == "ok", (s_rec.tool, s_rec.workload,
                                       s_rec.error)

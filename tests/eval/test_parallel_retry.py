@@ -37,7 +37,7 @@ def _fake_result(spec: TaskSpec) -> parallel.TaskResult:
         stdout_sha="s", files_sha="f")
 
 
-def _crash_or_run(spec, cache_spec=None, trace=False, trace_id=None):
+def _crash_or_run(spec, cache=None, trace=False, trace_id=None):
     if spec.task_id == _CRASH_ID:
         time.sleep(0.15)                # let innocent siblings start
         os._exit(1)                     # hard crash: breaks the pool
@@ -45,14 +45,14 @@ def _crash_or_run(spec, cache_spec=None, trace=False, trace_id=None):
     return _fake_result(spec)
 
 
-def _wedge_or_run(spec, cache_spec=None, trace=False, trace_id=None):
+def _wedge_or_run(spec, cache=None, trace=False, trace_id=None):
     if spec.task_id == _WEDGE_ID:
         time.sleep(600)                 # wedged past any wall timeout
     time.sleep(0.4)                     # keep innocents in flight
     return _fake_result(spec)
 
 
-def _flaky_once(spec, cache_spec=None, trace=False, trace_id=None):
+def _flaky_once(spec, cache=None, trace=False, trace_id=None):
     rec = _fake_result(spec)
     if spec.tool == "flaky" and not os.path.exists(_flaky_marker):
         with open(_flaky_marker, "w") as fh:

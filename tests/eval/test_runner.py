@@ -98,6 +98,41 @@ def test_apply_tool_decodes_analysis_unit_once(monkeypatch):
     assert len(decoded) == 1
 
 
+def test_apply_tool_without_a_store_does_no_store_work(monkeypatch):
+    """``cache=None`` computes no key and no fingerprint and encodes
+    nothing: with the prepared unit warm, a rewrite encodes one module
+    (the application's copy) and decodes two (that copy and the
+    prepared analysis image).  Every perfbench fig5-instrument op takes
+    this path, so a stray encode would be timed."""
+    from repro.objfile.module import Module
+    app = build_workload("fileio")
+    tool = get_tool("io")
+    apply_tool(app, tool, cache=None)           # warm the prepared unit
+
+    def forbidden(*args, **kw):
+        raise AssertionError("store work with cache=None")
+
+    for name in ("_instrument_fingerprint", "instrument_key",
+                 "_encode_instrumented"):
+        monkeypatch.setattr(runner, name, forbidden)
+    calls = []
+    to_bytes, from_bytes = Module.to_bytes, Module.from_bytes.__func__
+
+    def counting_to(self):
+        calls.append("to_bytes")
+        return to_bytes(self)
+
+    def counting_from(cls, data):
+        calls.append("from_bytes")
+        return from_bytes(cls, data)
+
+    monkeypatch.setattr(Module, "to_bytes", counting_to)
+    monkeypatch.setattr(Module, "from_bytes", classmethod(counting_from))
+    result = apply_tool(app, tool, cache=None)
+    assert not result.cached
+    assert sorted(calls) == ["from_bytes", "from_bytes", "to_bytes"]
+
+
 def test_runners_accept_and_ignore_jit():
     """perfbench/fig5.py passes ``jit=False`` to both runners; the
     keyword outlived the region tier and must keep changing nothing."""

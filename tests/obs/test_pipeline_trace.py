@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from repro.eval import parallel
+from repro.eval import ArtifactCache, parallel
 from repro.eval.parallel import TaskSpec, execute_task, run_matrix
 from repro.obs import TRACE, to_chrome
 
@@ -34,11 +34,10 @@ def _span_names(tracer):
     return [e["name"] for e in tracer.events]
 
 
-def test_serial_matrix_records_task_and_phase_spans(traced, tmp_path):
+def test_serial_matrix_records_task_and_phase_spans(traced):
     specs = [TaskSpec(tool="prof", workload="fib"),
              TaskSpec(tool="dyninst", workload="fib")]
-    records = run_matrix(specs, jobs=0,
-                         cache_spec=str(tmp_path / "cache"))
+    records = run_matrix(specs, jobs=0)
     assert all(rec.status == "ok" for rec in records)
     names = _span_names(traced)
     assert names.count("task") == len(specs)
@@ -53,11 +52,10 @@ def test_serial_matrix_records_task_and_phase_spans(traced, tmp_path):
     assert traced.counters.get("machine.runs", 0) >= 2
 
 
-def test_parallel_matrix_merges_worker_spans(traced, tmp_path):
+def test_parallel_matrix_merges_worker_spans(traced):
     specs = [TaskSpec(tool="prof", workload="fib"),
              TaskSpec(tool="dyninst", workload="fib")]
-    records = run_matrix(specs, jobs=2,
-                         cache_spec=str(tmp_path / "cache"))
+    records = run_matrix(specs, jobs=2)
     assert all(rec.status == "ok" for rec in records)
     names = _span_names(traced)
     assert names.count("task") == len(specs)
@@ -82,7 +80,7 @@ def test_worker_capture_ships_snapshot_when_not_owned(tmp_path):
     assert not TRACE.enabled
     parallel._base_memo.clear()          # force a fresh base run
     spec = TaskSpec(tool="prof", workload="fib")
-    rec = execute_task(spec, str(tmp_path / "cache"), True)
+    rec = execute_task(spec, ArtifactCache(tmp_path / "cache"), True)
     assert rec.status == "ok"
     assert rec.trace is not None
     names = [e["name"] for e in rec.trace["events"]]
@@ -94,7 +92,7 @@ def test_worker_capture_ships_snapshot_when_not_owned(tmp_path):
 def test_untraced_run_leaves_no_events(tmp_path):
     assert not TRACE.enabled
     rec = execute_task(TaskSpec(tool="prof", workload="fib"),
-                       str(tmp_path / "cache"), False)
+                       ArtifactCache(tmp_path / "cache"), False)
     assert rec.status == "ok"
     assert rec.trace is None
     assert TRACE.events == []

@@ -302,10 +302,10 @@ def test_heartbeat_records_parse_and_merge(fib, tmp_path, monkeypatch):
 
 def test_heartbeats_leave_task_identity_bit_identical(tmp_path,
                                                       monkeypatch):
-    from repro.eval import parallel
+    from repro.eval import ArtifactCache, parallel
     spec = parallel.TaskSpec(tool="prof", workload="fib", opt="O1")
 
-    cache = str(tmp_path / "cache")
+    cache = ArtifactCache(tmp_path / "cache")
     monkeypatch.setenv(runtime.ENV_HEARTBEAT, str(tmp_path / "hb.jsonl"))
     monkeypatch.setattr(parallel, "_base_memo", {})
     with_hb = parallel._execute_task(spec, cache)

@@ -77,7 +77,7 @@ def test_run_matrix_via_server_matches_local(daemon):
         TaskSpec(tool="branch", workload="fib", wl_args=("10",),
                  opt="O2"),
     ]
-    local = run_matrix(specs, jobs=0, cache_spec=False)
+    local = run_matrix(specs, jobs=0)
     served = run_matrix_via_server(specs, daemon.socket_path,
                                    tenant="matrix", jobs=2)
     assert len(local) == len(served)

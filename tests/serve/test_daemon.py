@@ -148,7 +148,7 @@ def test_evals_differing_only_in_fuse_coalesce(tmp_path):
 
 def test_eval_record_matches_serial_runner(client):
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("10",))
-    ref = run_with_retries(spec, False, 1)
+    ref = run_with_retries(spec, None, 1)
     record = client.eval_task(spec, tenant="parity")
     record.pop("trace", None)
     served = TaskResult(**record)
@@ -164,7 +164,7 @@ def test_timeout_parity_with_serial_runner(client):
     quarantined, never retried)."""
     spec = TaskSpec(tool="prof", workload="fib", wl_args=("15",),
                     base_max_insts=1000)
-    ref = run_with_retries(spec, False, 1)
+    ref = run_with_retries(spec, None, 1)
     assert ref.status == "timeout"          # the premise of the test
     record = client.eval_task(spec, tenant="parity", retries=1)
     record.pop("trace", None)

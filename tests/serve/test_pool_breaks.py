@@ -46,7 +46,7 @@ def _fake_result(spec: TaskSpec) -> TaskResult:
         pristine=True, stdout_sha="s", files_sha="f")
 
 
-def _crash_or_run(spec, cache_spec=None, trace=False, trace_id=None):
+def _crash_or_run(spec, cache=None, trace=False, trace_id=None):
     if spec.task_id == _CRASH_ID:
         time.sleep(0.15)                # let innocent siblings start
         os._exit(1)                     # hard crash: breaks the pool
@@ -54,7 +54,7 @@ def _crash_or_run(spec, cache_spec=None, trace=False, trace_id=None):
     return _fake_result(spec)
 
 
-def _raise(spec, cache_spec=None, trace=False, trace_id=None):
+def _raise(spec, cache=None, trace=False, trace_id=None):
     raise RuntimeError("injected")
 
 

@@ -90,13 +90,14 @@ def test_usage_reporting(tmp_path):
     assert "alice" in fresh.usage_all()
 
 
-def test_cache_spec_is_picklable_tuple(tmp_path):
+def test_tenant_cache_survives_pickling(tmp_path):
+    """The daemon hands a tenant's store object to a pool worker: the
+    unpickled copy is the same quota-bounded namespace."""
     import pickle
 
-    from repro.eval.parallel import _resolve_worker_cache
     tc = TenantCaches(tmp_path, cap=8, max_bytes=4096)
-    spec = tc.cache_spec("alice")
-    assert spec == pickle.loads(pickle.dumps(spec))
-    cache = _resolve_worker_cache(spec)
+    cache = pickle.loads(pickle.dumps(tc.cache("alice")))
+    assert (cache.root, cache.cap, cache.max_bytes) == \
+        (tc.tenant_root("alice"), 8, 4096)
     cache.put("k", b"v")
     assert tc.cache("alice").get("k") == b"v"

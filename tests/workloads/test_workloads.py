@@ -64,55 +64,3 @@ def test_workload_cache_returns_fresh_modules():
     b = build_workload("sieve")
     assert a is not b
     assert a.to_bytes() == b.to_bytes()
-
-
-# ---- disk-cache decode failures --------------------------------------------
-
-@pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
-    """A fresh default store, with ``fib`` forgotten by the in-process
-    memo so ``build_workload`` consults the disk."""
-    from repro import workloads
-    from repro.eval.cache import executable_key, get_default_cache
-    monkeypatch.setenv("WRL_CACHE_DIR", str(tmp_path))
-    monkeypatch.delitem(workloads._exe_cache, "fib", raising=False)
-    cache = get_default_cache()
-    key = executable_key((load_source("fib"),), "fib")
-    return cache, key
-
-
-def test_garbage_blob_is_counted_corrupt_and_recompiled(cold_cache):
-    from repro import workloads
-    cache, key = cold_cache
-    cache.put(key, b"digest-valid but not a WOF module")
-    before = cache.stats.corrupt
-    module = build_workload("fib")
-    assert cache.stats.corrupt == before + 1
-    # The recompiled executable replaced the bad blob: the next cold
-    # lookup decodes it without another corruption.
-    del workloads._exe_cache["fib"]
-    again = build_workload("fib")
-    assert cache.stats.corrupt == before + 1
-    assert again.to_bytes() == module.to_bytes()
-    assert run_workload("fib").status == 0
-
-
-def test_decoder_bug_propagates_not_swallowed(cold_cache, monkeypatch):
-    """Regression: the disk-cache check caught blanket ``Exception``, so a
-    programming error in the decoder became a silent recompile.  Only
-    ``runner._DECODE_ERRORS`` count as a corrupt blob."""
-    from repro.objfile.module import Module
-    cache, key = cold_cache
-    planted = b"the decoder breaks on this blob only"
-    cache.put(key, planted)
-    decode = Module.from_bytes
-
-    def broken(cls, blob):
-        if blob == planted:
-            raise TypeError("decoder bug")
-        return decode(blob)
-
-    monkeypatch.setattr(Module, "from_bytes", classmethod(broken))
-    with pytest.raises(TypeError, match="decoder bug"):
-        build_workload("fib")
-    assert cache.stats.corrupt == 0
