@@ -335,8 +335,8 @@ def _no_compiles(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
-def test_undecodable_payload_is_a_counted_corruption(kind, tmp_path,
-                                                     monkeypatch):
+def test_undecodable_artifact_is_a_counted_corruption(kind, tmp_path,
+                                                      monkeypatch):
     """A digest-valid blob whose contents do not decode is a *counted*
     miss, once: the store's corrupt counter moves so the failure shows
     in trace summaries, and the rebuilt artifact replaces the blob, so
@@ -349,6 +349,35 @@ def test_undecodable_payload_is_a_counted_corruption(kind, tmp_path,
     _no_compiles(monkeypatch)
     assert fetch(store) == built
     assert store.stats.corrupt == 1
+
+
+def test_garbage_instrument_payload_recompiles(tmp_path):
+    """A blob that passes the integrity hash but does not unpack as an
+    instrumented executable is treated as a miss, not a crash: the
+    result reports a compile, and the next call hits the rebuilt blob."""
+    cache = ArtifactCache(tmp_path)
+    app = build_workload("fib")
+    cache.put(_instrumented_key(), b"this is not an instrumented executable")
+    before = runner.COMPILE_COUNTS["instrument"]
+    result = runner.apply_tool(app, _PROF, cache=cache)
+    assert runner.COMPILE_COUNTS["instrument"] == before + 1
+    assert not result.cached
+    warm = runner.apply_tool(app, _PROF, cache=cache)
+    assert warm.cached
+    assert warm.module.to_bytes() == result.module.to_bytes()
+
+
+def test_undecodable_payload_is_a_counted_corruption(tmp_path):
+    """A digest-valid blob whose contents do not unpack is a *counted*
+    miss: the store's corrupt counter must move so the failure shows up
+    in trace summaries instead of being silently recompiled around."""
+    cache = ArtifactCache(tmp_path)
+    app = build_workload("fib")
+    cache.put(_instrumented_key(),
+              b"digest-valid but not an instrument payload")
+    before = cache.stats.corrupt
+    runner.apply_tool(app, _PROF, cache=cache)
+    assert cache.stats.corrupt == before + 1
 
 
 @pytest.mark.parametrize("kind", sorted(ARTIFACTS))
