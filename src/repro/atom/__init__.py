@@ -15,13 +15,13 @@ from .api import (AtomContext, AtomError, BlockAfter, BlockBefore,
                   InstTypeStore, InstTypeSyscall, InstTypeUncondBr,
                   Placement, ProcAfter, ProcBefore, ProgramAfter,
                   ProgramBefore)
-from .instrument import (InstrumentResult, InstrumentStats, LayoutError,
-                         instrument_executable)
+from .instrument import (HEAP_MODES, InstrumentResult, InstrumentStats,
+                         LayoutError, instrument_executable)
 from .proto import ProtoError, parse_proto
 from .saves import OptLevel
 
 __all__ = [
-    "AtomContext", "AtomError", "instrument_executable",
+    "AtomContext", "AtomError", "instrument_executable", "HEAP_MODES",
     "InstrumentResult", "InstrumentStats", "LayoutError", "OptLevel",
     "ProtoError", "parse_proto",
     "InstBefore", "InstAfter", "BlockBefore", "BlockAfter", "ProcBefore",

@@ -20,7 +20,7 @@ import sys
 from ..mlc import MlcError, build_analysis_unit
 from ..objfile.module import Module
 from .api import AtomError
-from .instrument import instrument_executable
+from .instrument import HEAP_MODES, instrument_executable
 from .saves import OptLevel
 
 
@@ -66,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("-O", "--opt", type=int, choices=[0, 1, 2, 3, 4],
                     default=1, help="save-strategy optimization level "
                     "(4 = inline analysis bodies + coalesce saves)")
-    ap.add_argument("--heap", choices=["linked", "partitioned"],
-                    default="linked")
+    ap.add_argument("--heap", choices=HEAP_MODES, default="linked")
     ap.add_argument("--heap-offset", type=lambda s: int(s, 0),
                     default=0x10_0000,
                     help="analysis heap offset (partitioned mode)")

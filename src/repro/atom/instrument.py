@@ -43,6 +43,9 @@ from .saves import OptLevel, SavePlans, build_wrapper_proc, compute_plans
 
 VENEER_NAME = "__atom_veneer"
 
+#: The two-sbrk schemes ``instrument_executable`` takes as ``heap_mode``.
+HEAP_MODES = ("linked", "partitioned")
+
 #: Text spans under this stay within bsr reach end to end.
 _BSR_SPAN_LIMIT = 4 * 1024 * 1024
 
@@ -115,7 +118,7 @@ def instrument_executable(app_exe: Module, instrument_fn, analysis_unit,
     bytes past the application heap base; as in the paper, nothing checks
     that the application heap does not grow into it).
     """
-    if heap_mode not in ("linked", "partitioned"):
+    if heap_mode not in HEAP_MODES:
         raise AtomError(f"unknown heap mode {heap_mode!r}")
 
     # Defensive copies: neither input module is mutated.

@@ -618,12 +618,12 @@ def run_matrix_via_server(specs, server, *, tenant=None, jobs: int = 4,
 
     The thin-client counterpart of :func:`run_matrix`: each cell becomes
     one eval request, issued over up to ``jobs`` concurrent connections
-    so the daemon can dedup and batch across them.  Structured daemon
-    errors (``overloaded``, protocol rejections) become error records
-    rather than exceptions, mirroring the local runner's never-raise
-    contract; everything in :meth:`TaskResult.identity` is byte-identical
-    to a local run because the daemon's workers execute the very same
-    :func:`run_with_retries`.
+    so the daemon can dedup across them and run them in parallel.
+    Structured daemon errors (``overloaded``, protocol rejections)
+    become error records rather than exceptions, mirroring the local
+    runner's never-raise contract; everything in
+    :meth:`TaskResult.identity` is byte-identical to a local run because
+    the daemon's workers execute the very same :func:`run_with_retries`.
     """
     from ..serve.client import ServeClient, ServeError
     specs = list(specs)
@@ -829,6 +829,12 @@ def main(argv=None) -> int:
     out = Path(args.out)
     if not out.parent.is_dir():
         parser.error(f"--out: directory {out.parent} does not exist")
+    server = args.server or os.environ.get("WRL_SERVER") or None
+    if server and (args.trace or args.timeout is not None
+                   or args.no_cache or args.cache_dir or args.heartbeat):
+        parser.error("--trace/--timeout/--no-cache/--cache-dir/"
+                     "--heartbeat run in-process; drop --server (or "
+                     "unset WRL_SERVER) to use them")
 
     shard, num_shards = args.shard
     specs = plan_matrix(tools, workloads, opts,
@@ -838,7 +844,6 @@ def main(argv=None) -> int:
         print(f"wrl-eval: shard {shard}/{num_shards} selected none of "
               f"the {len(specs)} cells; nothing to do")
         return 0
-    server = args.server or os.environ.get("WRL_SERVER") or None
     tenant = args.tenant or os.environ.get("WRL_TENANT") or "default"
     trace_id = args.trace_id
     if server and not trace_id:

@@ -68,7 +68,7 @@ def request_events(snap: dict, trace_id: str) -> list[dict]:
 
 
 def timeline(snap: dict, trace_id: str, out=None) -> int:
-    """Print one request's client→queue→batch→worker timeline; returns
+    """Print one request's client→queue→worker timeline; returns
     the number of events shown (0 = id not present in the trace)."""
     out = out if out is not None else sys.stdout
     events = request_events(snap, trace_id)

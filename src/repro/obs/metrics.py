@@ -12,7 +12,7 @@ Three instrument kinds, each optionally labeled:
 * :class:`Counter` — monotone totals (requests, dedup hits, errors).
 * :class:`Gauge` — point-in-time values (queue depth, cache bytes).
 * :class:`Histogram` — distributions over fixed cumulative buckets
-  (latency, batch occupancy) with nearest-rank percentiles.
+  (latency) with nearest-rank percentiles.
 
 Every counter and histogram additionally feeds a **rolling-window
 ring** of per-second buckets, so rates and windowed percentiles over

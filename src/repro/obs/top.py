@@ -76,8 +76,8 @@ def render(stats: dict, metrics_doc: dict | None = None,
     uptime = stats.get("uptime_s", 0.0)
     lines.append(
         f"wrl-top — uptime {uptime:8.1f}s   jobs {stats.get('jobs', '?')}"
-        f"   queue {stats.get('queue_depth', 0)}/{stats.get('max_queue', '?')}"
-        f"   batch window {stats.get('batch_window_s', 0) * 1000:.0f}ms")
+        f"   queue {stats.get('queue_depth', 0)}"
+        f"/{stats.get('max_queue', '?')}")
     lines.append("─" * min(width, 80))
 
     # Request rates: prefer the daemon's rolling windows, fall back to
@@ -138,13 +138,6 @@ def render(stats: dict, metrics_doc: dict | None = None,
                          f"/{slo['error_rate']:.3f} [{mark}"
                          f"{' x' + str(breaches['error_rate']) if breaches.get('error_rate') else ''}]")
         lines.append("slo (60s)   " + "   ".join(parts))
-
-    batch = stats.get("batch_size", {})
-    if batch.get("count"):
-        lines.append(f"batches {stats.get('batches', 0)}  "
-                     f"occupancy p50={batch.get('p50', 0):.0f} "
-                     f"p90={batch.get('p90', 0):.0f} "
-                     f"max={batch.get('max', 0):.0f}")
 
     tenants = stats.get("tenants", {})
     if tenants:

@@ -420,8 +420,8 @@ def compare_reports(old: dict, new: dict,
         old_serve, new_serve = old.get("serve"), new.get("serve")
         if old_serve and new_serve:
             # Same wall-clock caveat as the interpreter legs: this
-            # catches the daemon hot path collapsing (lost warm pool,
-            # lost batching), not host-load jitter.
+            # catches the daemon hot path collapsing (a lost warm pool,
+            # a stalled dispatch), not host-load jitter.
             floor = old_serve["warm_rps"] * (1.0 - ips_threshold)
             if new_serve["warm_rps"] < floor:
                 regressions.append(

@@ -1,9 +1,10 @@
 """Instrumentation-as-a-service: the ``wrl-serve`` daemon and client.
 
 A persistent asyncio daemon fronting the warm worker pool and the
-content-addressed artifact cache — request dedup, window batching,
-per-tenant cache quotas, admission control, and streamed heartbeats over
-one newline-JSON unix-socket protocol.  ``wrl-run``/``wrl-eval`` become
+content-addressed artifact cache — request dedup, dispatch on admission
+(one pool task per request), per-tenant cache quotas, admission
+control, and streamed heartbeats over one newline-JSON unix-socket
+protocol.  ``wrl-run``/``wrl-eval`` become
 thin clients via ``--server`` / ``WRL_SERVER`` with byte-identical
 artifacts versus their cold-process paths.
 """

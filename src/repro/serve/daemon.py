@@ -9,10 +9,9 @@ behind a unix-domain socket speaking the newline-JSON protocol of
   budgets, tenant) coalesce onto one in-flight entry: N clients, one
   compile+run, N streamed results.  A client disconnecting mid-stream
   cancels only its own subscription; deduped siblings are untouched.
-* **Batching** — requests admitted within one ``batch_window`` are
-  packed into shard-aware batches (eval cells grouped by workload, so a
-  batch shares its worker's memoized uninstrumented baseline) and each
-  batch costs one pool round-trip.
+* **Dispatch on admission** — every admitted request goes to the warm
+  pool as its own task, as ``run_matrix`` submits one spec per task, so
+  concurrent requests run in parallel on as many workers as there are.
 * **Admission control** — at most ``max_queue`` requests are queued or
   executing; past that the daemon *sheds* with a structured
   ``overloaded`` error immediately instead of stacking latency.
@@ -53,14 +52,16 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from pathlib import Path
 
 from ..eval import runner
-from ..eval.parallel import (PoolBreakPolicy, _kill_pool, default_jobs,
-                             run_with_retries, traced_call, worker_died)
+from ..eval.parallel import (PoolBreakPolicy, TaskResult, _kill_pool,
+                             default_jobs, run_with_retries, traced_call,
+                             worker_died)
 from ..obs import TRACE, mint_trace_id, percentile, trace_path_from_env
 from ..obs.metrics import MetricsRegistry
 from .protocol import (DEFAULT_SOCKET_NAME, ERROR_KINDS,
@@ -72,38 +73,17 @@ from .protocol import (DEFAULT_SOCKET_NAME, ERROR_KINDS,
                        validate_trace_id)
 from .quota import DEFAULT_TENANT_CAP, TenantCaches
 
-DEFAULT_BATCH_WINDOW = 0.005          # seconds
-DEFAULT_MAX_BATCH = 8                 # eval cells per pool round-trip
 DEFAULT_MAX_QUEUE = 64                # queued + executing requests
 
 
 # ---- worker side (picklable top-level functions) ---------------------------
+#
+# An eval cell is submitted as :func:`run_with_retries` itself, with the
+# tenant's ``ArtifactCache`` as its store.
 
 def _warm_worker() -> None:
     """Pool initializer: pre-import so first tasks pay pure work."""
     runner.preload_process()
-
-
-def _execute_eval_batch(items, trace: bool = False) -> list[dict]:
-    """Run a shard-aware batch of eval cells serially in one worker.
-
-    ``items`` is ``[(spec, cache, retries, trace_id), ...]``, ``cache``
-    being the tenant's ``ArtifactCache`` — all cells of a batch share a
-    workload, so after the first the worker's memoized uninstrumented
-    baseline makes the rest instrumentation-only.  Records use the exact
-    serial retry/quarantine semantics (:func:`run_with_retries`),
-    shipped back as plain dicts.  With ``trace``, each record carries the worker's
-    captured span snapshot (stamped with the request's trace id) for
-    the daemon to merge; it never reaches the wire.
-    """
-    out = []
-    for spec, cache, retries, trace_id in items:
-        rec = run_with_retries(spec, cache, retries, trace, trace_id)
-        doc = asdict(rec)
-        if not trace:
-            doc["trace"] = None
-        out.append(doc)
-    return out
 
 
 def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
@@ -148,17 +128,9 @@ def _execute_run(exe: bytes, args: tuple[str, ...], stdin: bytes,
 
 # ---- daemon-side request bookkeeping ---------------------------------------
 
-class _Sub:
-    """One client's subscription to an entry's frame stream."""
-
-    __slots__ = ("queue",)
-
-    def __init__(self):
-        self.queue: asyncio.Queue = asyncio.Queue()
-
-
 class _Entry:
-    """One unit of in-flight work; N deduped subscribers share it."""
+    """One unit of in-flight work; N deduped subscribers share it, each
+    through its own frame queue."""
 
     __slots__ = ("key", "op", "label", "payload", "tenant", "retries",
                  "subs", "t0", "trace_id", "t0_ns", "t_dispatch_ns")
@@ -171,7 +143,7 @@ class _Entry:
         self.payload = payload
         self.tenant = tenant
         self.retries = retries
-        self.subs: list[_Sub] = []
+        self.subs: list[asyncio.Queue] = []
         self.t0 = time.monotonic()
         #: Request trace context: the executing client's id (or a
         #: server-minted one); every span/heartbeat of this entry and
@@ -182,7 +154,7 @@ class _Entry:
 
     def publish(self, frame: dict) -> None:
         for sub in list(self.subs):
-            sub.queue.put_nowait(frame)
+            sub.put_nowait(frame)
 
 
 #: Error kinds an admitted request can end in.  The SLO error rate is
@@ -243,11 +215,6 @@ class ServeMetrics:
             "wrl_overloaded_total)", ("kind",))
         self.executed = reg.counter(
             "wrl_executed_total", "Requests finished with a result")
-        self.batches = reg.counter(
-            "wrl_batches_total", "Batches shipped to the worker pool")
-        self.batch_occupancy = reg.histogram(
-            "wrl_batch_occupancy", "Entries per dispatched batch",
-            buckets=(1, 2, 4, 8, 16, 32))
         self.pool_rebuilds = reg.counter(
             "wrl_pool_rebuilds_total",
             "Worker-pool rebuilds after a pool break")
@@ -284,8 +251,6 @@ class Daemon:
     :class:`DaemonThread` / the ``wrl-serve`` CLI)."""
 
     def __init__(self, socket_path=None, *, jobs: int | None = None,
-                 batch_window: float = DEFAULT_BATCH_WINDOW,
-                 max_batch: int = DEFAULT_MAX_BATCH,
                  max_queue: int = DEFAULT_MAX_QUEUE,
                  cache_root=None,
                  tenant_cap: int = DEFAULT_TENANT_CAP,
@@ -295,8 +260,6 @@ class Daemon:
                  slo_error_rate: float | None = None):
         self.socket_path = Path(socket_path or DEFAULT_SOCKET_NAME)
         self.jobs = jobs if jobs else default_jobs()
-        self.batch_window = batch_window
-        self.max_batch = max(1, max_batch)
         self.max_queue = max(1, max_queue)
         self.limit = limit
         self.tenants = TenantCaches(cache_root, cap=tenant_cap,
@@ -311,9 +274,9 @@ class Daemon:
         #: Every admitted entry until it finishes, by dedup key: queued,
         #: dispatched or awaiting a probe.  Its size is the queue depth.
         self._inflight: dict[str, _Entry] = {}
-        self._batch_buf: list[_Entry] = []
+        #: Admissions held back while pool-break suspects are probed.
+        self._held: deque[_Entry] = deque()
         self._breaks = PoolBreakPolicy(lambda entry: entry.retries)
-        self._flush_handle = None
         self._server = None
         self._stop: asyncio.Event | None = None
 
@@ -361,15 +324,12 @@ class Daemon:
             with contextlib.suppress(Exception):
                 await self._server.wait_closed()
             self._server = None
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         for entry in list(self._inflight.values()):
             self.metrics.errors_by_kind["shutting-down"].inc()
             entry.publish(error_frame(None, "shutting-down",
                                       "daemon stopping"))
         self._inflight.clear()
-        self._batch_buf.clear()
+        self._held.clear()
         if self.pool is not None:
             self.pool.shutdown(wait=False, cancel_futures=True)
             self.pool = None
@@ -443,7 +403,7 @@ class Daemon:
             with contextlib.suppress(Exception):
                 writer.close()
 
-    async def _stream(self, entry: _Entry, sub: _Sub, reader,
+    async def _stream(self, entry: _Entry, sub: asyncio.Queue, reader,
                       writer) -> None:
         """Pump the subscription's frames to one client, watching its
         half of the connection so a disconnect cancels *only* this
@@ -451,7 +411,7 @@ class Daemon:
         watcher = asyncio.ensure_future(reader.read(1))
         try:
             while True:
-                getter = asyncio.ensure_future(sub.queue.get())
+                getter = asyncio.ensure_future(sub.get())
                 done, _ = await asyncio.wait(
                     {getter, watcher},
                     return_when=asyncio.FIRST_COMPLETED)
@@ -478,15 +438,15 @@ class Daemon:
         finally:
             watcher.cancel()
 
-    def _unsubscribe(self, entry: _Entry, sub: _Sub) -> None:
+    def _unsubscribe(self, entry: _Entry, sub: asyncio.Queue) -> None:
         with contextlib.suppress(ValueError):
             entry.subs.remove(sub)
         TRACE.count("serve.cancelled")
         self.metrics.cancelled.inc()
 
-    # ---- admission, dedup, batching ----------------------------------------
+    # ---- admission, dedup, dispatch ----------------------------------------
 
-    def _register(self, op: str, req: dict) -> tuple[_Entry, _Sub]:
+    def _register(self, op: str, req: dict) -> tuple[_Entry, asyncio.Queue]:
         tenant = validate_tenant(req.get("tenant"))
         # Accept the client's trace id; mint one for a request without
         # one, so every entry is correlatable either way.
@@ -508,14 +468,14 @@ class Daemon:
         if entry is not None:
             TRACE.count("serve.dedup_hits")
             self.metrics.dedup_hits.inc()
-            sub = _Sub()
+            sub = asyncio.Queue()
             entry.subs.append(sub)
             # The follower keeps its own trace id but is linked to the
             # executing entry's, so `wrl-trace summary --trace-id` on
             # either id surfaces the relationship.
             TRACE.instant("serve.dedup", "serve", trace_id=trace_id,
                           linked_to=entry.trace_id, task=entry.label)
-            sub.queue.put_nowait(heartbeat_frame(
+            sub.put_nowait(heartbeat_frame(
                 entry.label, "deduped", subscribers=len(entry.subs),
                 trace_id=trace_id, linked_to=entry.trace_id))
             return entry, sub
@@ -529,80 +489,46 @@ class Daemon:
         entry = _Entry(key, op, label, payload, tenant, retries,
                        trace_id)
         self._inflight[key] = entry
-        sub = _Sub()
+        sub = asyncio.Queue()
         entry.subs.append(sub)
-        self._batch_buf.append(entry)
         TRACE.observe("serve.queue_depth", depth + 1)
         self.metrics.tenant_requests.labels(tenant).inc()
         self.metrics.queue_depth.set(depth + 1)
         entry.publish(heartbeat_frame(label, "queued",
                                       queue_depth=depth + 1,
                                       trace_id=trace_id))
-        self._schedule_flush()
+        self._held.append(entry)
+        self._pump()
         return entry, sub
 
-    def _schedule_flush(self) -> None:
-        if self._flush_handle is None:
-            loop = asyncio.get_running_loop()
-            self._flush_handle = loop.call_later(self.batch_window,
-                                                 self._flush)
-
-    def _flush(self) -> None:
-        """Close the batching window: pack admitted requests into
-        shard-aware batches and ship them to the warm pool.  While pool
-        breaks are being probed the window holds everything back;
-        :meth:`_pump` reopens it when the last probe lands."""
-        self._flush_handle = None
-        if self._breaks.probing:
-            return
-        buf, self._batch_buf = self._batch_buf, []
-        if not buf:
-            return
-        batches: list[list[_Entry]] = []
-        groups: dict[str, list[_Entry]] = {}
-        for entry in buf:
-            if entry.op == "run":
-                batches.append([entry])
-            else:
-                groups.setdefault(entry.payload.workload,
-                                  []).append(entry)
-        for _, entries in sorted(groups.items()):
-            for i in range(0, len(entries), self.max_batch):
-                batches.append(entries[i:i + self.max_batch])
-        for batch in batches:
-            self._submit(batch)
-
-    def _submit(self, batch: list[_Entry], attempt: int = 1) -> None:
-        loop = asyncio.get_running_loop()
-        for entry in batch:
-            generation = self._breaks.dispatch(entry, attempt)
-        TRACE.count("serve.batches")
-        TRACE.observe("serve.batch_size", len(batch))
-        self.metrics.batches.inc()
-        self.metrics.batch_occupancy.observe(len(batch))
-        now_ns = time.monotonic_ns()
-        for entry in batch:
-            entry.t_dispatch_ns = now_ns
-            self._record_span("serve.queue", entry.t0_ns, now_ns, entry,
-                              batch=len(batch))
-            entry.publish(heartbeat_frame(entry.label, "dispatch",
-                                          batch=len(batch),
-                                          trace_id=entry.trace_id))
-        if batch[0].op == "run":
-            fut = loop.run_in_executor(self.pool, _execute_run,
-                                       *batch[0].payload, TRACE.enabled,
-                                       batch[0].trace_id)
+    def _submit(self, entry: _Entry, attempt: int = 1) -> None:
+        """Ship one entry to the warm pool as its own task."""
+        generation = self._breaks.dispatch(entry, attempt)
+        entry.t_dispatch_ns = time.monotonic_ns()
+        self._record_span("serve.queue", entry.t0_ns, entry.t_dispatch_ns,
+                          entry)
+        entry.publish(heartbeat_frame(entry.label, "dispatch",
+                                      trace_id=entry.trace_id))
+        if entry.op == "run":
+            call = (_execute_run, *entry.payload, TRACE.enabled,
+                    entry.trace_id)
         else:
             # A probe's earlier solo breaks were attempts: the worker
             # gets the retries left, and the record counts them all.
-            items = [(entry.payload,
-                      self.tenants.cache(entry.tenant),
-                      entry.retries - attempt + 1, entry.trace_id)
-                     for entry in batch]
-            fut = loop.run_in_executor(self.pool, _execute_eval_batch,
-                                       items, TRACE.enabled)
+            call = (run_with_retries, entry.payload,
+                    self.tenants.cache(entry.tenant),
+                    entry.retries - attempt + 1, TRACE.enabled,
+                    entry.trace_id)
+        loop = asyncio.get_running_loop()
+        try:
+            fut = loop.run_in_executor(self.pool, *call)
+        except BrokenProcessPool as exc:
+            # The pool died before its break reached the loop: this
+            # entry is implicated like every other one on it.
+            fut = loop.create_future()
+            fut.set_exception(exc)
         fut.add_done_callback(
-            lambda f, b=batch, g=generation: self._on_done(b, g, f))
+            lambda f, g=generation: self._on_done(entry, g, f))
 
     def _record_span(self, name: str, t0_ns: int, t1_ns: int,
                      entry: _Entry, **extra) -> None:
@@ -618,11 +544,9 @@ class Daemon:
 
     # ---- completion --------------------------------------------------------
 
-    def _on_done(self, batch: list[_Entry], generation: int,
-                 fut) -> None:
-        """A batch's future finished: settle its entries with the
-        pool-break policy, finish them, then dispatch what may go
-        next."""
+    def _on_done(self, entry: _Entry, generation: int, fut) -> None:
+        """An entry's future finished: settle it with the pool-break
+        policy, finish it, then dispatch what may go next."""
         try:
             out = fut.result()
         except BrokenProcessPool:
@@ -632,30 +556,28 @@ class Daemon:
             return
         except Exception as exc:                     # noqa: BLE001
             out = exc
-        attempts = [self._breaks.landed(entry) for entry in batch]
+        attempt = self._breaks.landed(entry)
         if isinstance(out, Exception):
-            for entry in batch:
-                self._finish_error(entry, "internal",
-                                   f"{type(out).__name__}: {out}")
-        elif batch[0].op == "run":
-            self._finish_run(batch[0], out)
+            self._finish_error(entry, "internal",
+                               f"{type(out).__name__}: {out}")
+        elif entry.op == "run":
+            self._finish_run(entry, out)
         else:
-            for entry, attempt, record in zip(batch, attempts, out):
-                record["attempts"] += attempt - 1
-                self._finish_eval(entry, record)
+            out.attempts += attempt - 1
+            self._finish_eval(entry, out)
         self._pump()
 
-    def _finish_eval(self, entry: _Entry, record: dict) -> None:
+    def _finish_eval(self, entry: _Entry, rec: TaskResult) -> None:
         # The worker's span snapshot is merged into the daemon's trace
         # under the request's id, then stripped: result frames stay
         # byte-identical whether or not tracing is on.
-        snap = record.get("trace")
-        record["trace"] = None
+        snap, rec.trace = rec.trace, None
         if snap and TRACE.enabled:
             TRACE.merge(snap)
-        kind = "miss" if record.get("instr_compiled") else "hit"
+        kind = "miss" if rec.instr_compiled else "hit"
         self.metrics.cache_results.labels(kind).inc()
-        self._finish_result(entry, {"type": "result", "record": record})
+        self._finish_result(entry, {"type": "result",
+                                    "record": asdict(rec)})
 
     def _finish_run(self, entry: _Entry, reply: dict) -> None:
         snap = reply.pop("trace", None)
@@ -690,8 +612,9 @@ class Daemon:
         self._pump()
 
     def _pump(self) -> None:
-        """After a completion or a break: while probing, dispatch the
-        next suspect alone; after it, let held admissions flush."""
+        """After an admission, a completion or a break: while probing,
+        dispatch the next suspect alone and hold admissions back; once
+        the last probe lands, dispatch everything held."""
         if self._breaks.probing:
             probe = self._breaks.next_probe()
             if probe is not None:
@@ -699,9 +622,10 @@ class Daemon:
                 entry.publish(heartbeat_frame(entry.label, "probe",
                                               attempt=attempt,
                                               trace_id=entry.trace_id))
-                self._submit([entry], attempt)
-        elif self._batch_buf:
-            self._schedule_flush()
+                self._submit(entry, attempt)
+            return
+        while self._held:
+            self._submit(self._held.popleft())
 
     def _finish_result(self, entry: _Entry, frame: dict) -> None:
         self._inflight.pop(entry.key, None)
@@ -800,7 +724,6 @@ class Daemon:
             "schema": SERVE_SCHEMA,
             "uptime_s": round(time.monotonic() - self.started, 3),
             "jobs": self.jobs,
-            "batch_window_s": self.batch_window,
             "max_queue": self.max_queue,
             "queue_depth": len(self._inflight),
             "requests": requests,
@@ -811,9 +734,7 @@ class Daemon:
             "cancelled": int(m.cancelled.total()),
             "executed": int(m.executed.total()),
             "errors": int(m.errors.total()),
-            "batches": int(m.batches.total()),
             "pool_rebuilds": int(m.pool_rebuilds.total()),
-            "batch_size": _project(m.batch_occupancy),
             "latency_ms": _project(m.latency),
             "latency_ms_by_op": {op: _project(m.latency, op)
                                  for op in ("eval", "run")},
@@ -898,8 +819,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="wrl-serve",
         description="Persistent instrumentation daemon: dedup, "
-                    "batching, per-tenant cache quotas over a warm "
-                    "worker pool.  wrl-run/wrl-eval connect with "
+                    "admission control, per-tenant cache quotas over a "
+                    "warm worker pool.  wrl-run/wrl-eval connect with "
                     "--server (or WRL_SERVER).")
     parser.add_argument("--socket", default=None, metavar="PATH",
                         help=f"unix socket path (default: $WRL_SERVER "
@@ -907,13 +828,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=default_jobs(),
                         help="warm worker processes (default: CPUs "
                              "this process may run on)")
-    parser.add_argument("--batch-window", type=float, default=5.0,
-                        metavar="MS",
-                        help="batching window in milliseconds "
-                             "(default 5)")
-    parser.add_argument("--max-batch", type=int,
-                        default=DEFAULT_MAX_BATCH,
-                        help="max eval cells per batch (default 8)")
     parser.add_argument("--max-queue", type=int,
                         default=DEFAULT_MAX_QUEUE,
                         help="admission cap: queued+executing requests "
@@ -950,10 +864,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.batch_window < 0:
-        parser.error("--batch-window must be >= 0")
-    if args.max_batch < 1 or args.max_queue < 1:
-        parser.error("--max-batch/--max-queue must be >= 1")
+    if args.max_queue < 1:
+        parser.error("--max-queue must be >= 1")
     if args.max_request < 1024:
         parser.error("--max-request must be >= 1024")
     if args.tenant_cap < 1:
@@ -969,9 +881,7 @@ def main(argv=None) -> int:
     from .protocol import server_path_from_env
     socket_path = args.socket or server_path_from_env() \
         or DEFAULT_SOCKET_NAME
-    daemon = Daemon(socket_path, jobs=args.jobs,
-                    batch_window=args.batch_window / 1000.0,
-                    max_batch=args.max_batch, max_queue=args.max_queue,
+    daemon = Daemon(socket_path, jobs=args.jobs, max_queue=args.max_queue,
                     cache_root=args.cache_dir,
                     tenant_cap=args.tenant_cap,
                     tenant_max_bytes=args.tenant_max_bytes,
@@ -992,9 +902,8 @@ def main(argv=None) -> int:
         serving = asyncio.create_task(daemon.run(ready))
         await ready.wait()
         print(f"wrl-serve: listening on {daemon.socket_path} "
-              f"(jobs={daemon.jobs}, batch window "
-              f"{daemon.batch_window * 1000:.0f}ms, "
-              f"queue cap {daemon.max_queue})", flush=True)
+              f"(jobs={daemon.jobs}, queue cap {daemon.max_queue})",
+              flush=True)
         await serving
 
     try:

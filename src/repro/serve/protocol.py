@@ -52,7 +52,7 @@ import os
 import re
 import time
 
-from ..atom import OptLevel
+from ..atom import HEAP_MODES, OptLevel
 from ..tools import TOOL_NAMES
 from ..workloads import WORKLOAD_NAMES
 from .. import __version__ as _REPRO_VERSION
@@ -223,7 +223,7 @@ def spec_from_wire(obj) -> TaskSpec:
     _need(opt in tuple(level.name for level in OptLevel),
           f"unknown opt {opt!r}")
     heap_mode = obj.get("heap_mode", "linked")
-    _need(isinstance(heap_mode, str), "heap_mode must be a string")
+    _need(heap_mode in HEAP_MODES, f"unknown heap_mode {heap_mode!r}")
     return TaskSpec(
         tool=tool, workload=workload, opt=opt, heap_mode=heap_mode,
         tool_args=_str_tuple(obj, "tool_args"),

@@ -32,11 +32,10 @@ def test_sparkline_flat_zero_series_is_all_low():
 def synthetic_stats(**overrides):
     stats = {
         "uptime_s": 12.5, "jobs": 2, "queue_depth": 1, "max_queue": 64,
-        "batch_window_s": 0.02,
         "requests": {"eval": 4, "run": 6, "ping": 2},
         "dedup_hits": 3, "dedup_rate": 0.3, "overloaded": 1,
         "cancelled": 0, "errors": 2, "pool_rebuilds": 0,
-        "executed": 8, "batches": 5,
+        "executed": 8,
         "latency_ms": {"count": 8, "p50": 10.0, "p90": 20.0,
                        "p99": 30.0, "mean": 12.0, "max": 31.0},
         "latency_ms_by_op": {
@@ -45,7 +44,6 @@ def synthetic_stats(**overrides):
             "run": {"count": 4, "p50": 5.0, "p90": 9.0, "p99": 10.0,
                     "mean": 6.0, "max": 10.0},
         },
-        "batch_size": {"count": 5, "p50": 2, "p90": 3, "max": 4},
         "tenants": {"default": {"blobs": 7, "bytes": 2048, "cap": 64}},
         "slo": {"configured": False},
     }

@@ -103,6 +103,25 @@ def test_wrl_eval_cli_via_server(daemon, tmp_path, capsys):
     assert report["summary"]["ok"] == report["summary"]["total"] == 1
 
 
+@pytest.mark.parametrize("flag", [("--trace", "t.json"),
+                                  ("--timeout", "5"), ("--no-cache",),
+                                  ("--cache-dir", "cache"),
+                                  ("--heartbeat", "hb.jsonl")],
+                         ids=lambda flag: flag[0])
+def test_wrl_eval_server_rejects_local_only_flags(daemon, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  flag):
+    """Flags that only the in-process runner honours are a parser error
+    under ``--server``, as they are for wrl-run, not silently ignored."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        parallel.main(["--server", str(daemon.socket_path), "--quick",
+                       "--out", "matrix.json", *flag])
+    assert exc.value.code == 2
+    assert "run in-process" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_server_error_becomes_error_record(tmp_path):
     # No daemon at this socket: records carry structured serve errors
     # instead of raising, mirroring the local never-raise contract.

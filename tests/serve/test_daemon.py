@@ -1,22 +1,48 @@
 """End-to-end daemon tests over a live in-process ``DaemonThread``:
 byte-identity with the cold path, dedup coalescing (N identical
-requests, one execution), protocol edge cases (oversized requests,
-overload shedding, client disconnect mid-stream), stale-socket
-recovery, and timeout/quarantine parity with the serial runner."""
+requests, one execution), one pool task per request, protocol edge
+cases (oversized requests, overload shedding, client disconnect
+mid-stream), stale-socket recovery, and timeout/quarantine parity with
+the serial runner.
+
+Tests that need a request held in flight replace ``parallel.execute_task``
+or ``daemon._execute_run`` with a slow module-level stand-in through
+monkeypatch, as ``test_pool_breaks.py`` does: the pool's workers fork
+from the patched parent, so they run the stand-in."""
 
 import base64
 import json
+import os
 import socket
 import threading
 import time
 
 import pytest
 
+from repro.eval import parallel
 from repro.eval.parallel import TaskResult, TaskSpec, run_with_retries
 from repro.eval.runner import run_uninstrumented
 from repro.serve import DaemonThread, ServeClient, ServeError
+from repro.serve import daemon as daemon_mod
 from repro.serve.protocol import encode_frame, spec_to_wire
 from repro.workloads import build_workload
+
+_REAL_RUN = daemon_mod._execute_run
+#: Seconds a stand-in holds its worker.
+_HOLD = 1.0
+
+
+def _slow_run(exe, args, stdin, max_insts, trace=False, trace_id=None):
+    """``_execute_run`` held in flight for ``_HOLD`` seconds first."""
+    time.sleep(_HOLD)
+    return _REAL_RUN(exe, args, stdin, max_insts, trace, trace_id)
+
+
+def _slow_cell(spec, cache=None, trace=False, trace_id=None):
+    """A stand-in eval cell that holds its worker for ``_HOLD`` seconds
+    and reports the worker's pid as its ``stdout_sha``."""
+    time.sleep(_HOLD)
+    return TaskResult.of(spec, stdout_sha=str(os.getpid()))
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +54,6 @@ def exe() -> bytes:
 def daemon(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve")
     with DaemonThread(socket_path=tmp / "serve.sock", jobs=2,
-                      batch_window=0.05,
                       cache_root=tmp / "cache") as dt:
         yield dt
 
@@ -42,7 +67,7 @@ def test_ping_and_stats_ops(client):
     assert client.ping()["type"] == "pong"
     stats = client.stats()
     for key in ("uptime_s", "jobs", "queue_depth", "dedup_hits",
-                "overloaded", "executed", "batches", "latency_ms",
+                "overloaded", "executed", "pool_rebuilds", "latency_ms",
                 "tenants"):
         assert key in stats
 
@@ -128,7 +153,6 @@ def test_evals_differing_only_in_fuse_coalesce(tmp_path):
                                  wl_args=("10",)))
     frames = {}
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=1,
-                      batch_window=0.2,
                       cache_root=tmp_path / "cache") as dt:
         def fire(fuse):
             frames[fuse] = _terminal(dt.socket_path, {
@@ -155,6 +179,41 @@ def test_eval_record_matches_serial_runner(client):
     assert served.identity() == ref.identity()
     assert served.attempts == ref.attempts == 1
     assert served.quarantined == ref.quarantined is False
+
+
+def test_concurrent_cells_of_one_workload_run_in_two_workers(
+        tmp_path, monkeypatch):
+    """Each admitted request is its own pool task: two concurrent eval
+    cells of one workload at jobs=2 run side by side in two workers,
+    not one after the other in one."""
+    monkeypatch.setattr(parallel, "execute_task", _slow_cell)
+    specs = [TaskSpec(tool="prof", workload="fib"),
+             TaskSpec(tool="branch", workload="fib")]
+    records = {}
+    with DaemonThread(socket_path=tmp_path / "s.sock", jobs=2,
+                      cache_root=tmp_path / "cache") as dt:
+        client = ServeClient(dt.socket_path, timeout=120.0)
+        # Start the pool's workers before the timed pair.
+        client.eval_task(TaskSpec(tool="dyninst", workload="fib"))
+        barrier = threading.Barrier(len(specs))
+
+        def fire(spec):
+            barrier.wait()
+            records[spec.tool] = client.eval_task(spec)
+
+        threads = [threading.Thread(target=fire, args=(spec,))
+                   for spec in specs]
+        t0 = time.monotonic()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        elapsed = time.monotonic() - t0
+
+    assert set(records) == {"prof", "branch"}
+    assert all(rec["status"] == "ok" for rec in records.values())
+    assert records["prof"]["stdout_sha"] != records["branch"]["stdout_sha"]
+    assert elapsed < 1.5 * _HOLD
 
 
 def test_timeout_parity_with_serial_runner(client):
@@ -224,12 +283,13 @@ def test_oversized_request_gets_structured_error(tmp_path):
         assert client.ping()["type"] == "pong"
 
 
-def test_overload_sheds_with_structured_response(tmp_path, exe):
+def test_overload_sheds_with_structured_response(tmp_path, exe,
+                                                 monkeypatch):
     """Admission control: past max_queue the daemon answers
     ``overloaded`` immediately instead of queueing."""
+    monkeypatch.setattr(daemon_mod, "_execute_run", _slow_run)
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=1,
-                      batch_window=0.5, max_queue=1,
-                      cache_root=tmp_path / "cache") as dt:
+                      max_queue=1, cache_root=tmp_path / "cache") as dt:
         client = ServeClient(dt.socket_path, timeout=60.0)
         results = {}
 
@@ -239,8 +299,8 @@ def test_overload_sheds_with_structured_response(tmp_path, exe):
             except ServeError as error:
                 results[arg] = error
 
-        # First request occupies the only queue slot for >= the batch
-        # window; the distinct followers must be shed.
+        # First request occupies the only queue slot while its worker
+        # is held; the distinct followers must be shed.
         t1 = threading.Thread(target=fire, args=("18",))
         t1.start()
         time.sleep(0.15)
@@ -254,12 +314,18 @@ def test_overload_sheds_with_structured_response(tmp_path, exe):
         assert client.stats()["overloaded"] == 2
 
 
-def test_disconnect_cancels_only_own_subscription(tmp_path, exe):
+def test_disconnect_cancels_only_own_subscription(tmp_path, exe,
+                                                  monkeypatch):
     """A client hanging up mid-stream must not take down deduped
     siblings waiting on the same work."""
+    monkeypatch.setattr(daemon_mod, "_execute_run", _slow_run)
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=1,
-                      batch_window=0.4,
                       cache_root=tmp_path / "cache") as dt:
+        # The pool forks its worker on first use, from this process: a
+        # worker forked while the raw socket below is open would keep
+        # it open after close(), and the daemon would never see the
+        # hang-up.  So fork it first.
+        dt.daemon.pool.submit(int).result()
         client = ServeClient(dt.socket_path, timeout=60.0)
         sibling = {}
 
@@ -275,7 +341,7 @@ def test_disconnect_cancels_only_own_subscription(tmp_path, exe):
                                   "exe": base64.b64encode(exe).decode(),
                                   "args": ["21"],
                                   "max_insts": 500_000_000}))
-        time.sleep(0.1)            # inside the 400ms batch window
+        time.sleep(0.1)            # its worker is held for _HOLD
         t = threading.Thread(target=wait_for_result)
         t.start()
         time.sleep(0.1)            # sibling subscribed to same entry

@@ -3,7 +3,7 @@
 One crashing worker breaks the daemon's whole pool, just as it breaks
 ``run_matrix``'s, and both drive one
 :class:`repro.eval.parallel.PoolBreakPolicy`.  Innocent requests in
-flight beside the crasher (batched with it, of another workload, or
+flight beside the crasher (of its workload, of another workload, or
 other ``run`` requests) must come back as if it were not there; the
 crasher alone pays, one attempt per break while alone in flight.
 
@@ -33,7 +33,7 @@ from repro.serve.protocol import decode_frame, encode_frame
 #: The cell whose worker dies (a real tool: the daemon validates names).
 _CRASH_ID = "branch:fib:O1:linked"
 #: Seconds an innocent cell takes: the other workload's cell is still in
-#: flight when the crasher's batch breaks the pool.
+#: flight when the crasher breaks the pool.
 _SLEEP = {"fib": 0.1, "li": 0.6}
 _REAL_RUN = daemon_mod._execute_run
 
@@ -98,12 +98,12 @@ def _fire(jobs) -> dict:
 def _leftovers(dt) -> list:
     """What the daemon still holds once every reply is in: nothing."""
     daemon = dt.daemon
-    return [*daemon._inflight, *daemon._batch_buf,
+    return [*daemon._inflight, *daemon._held,
             *daemon._breaks.inflight, *daemon._breaks.suspects]
 
 
-#: The crasher batched with two innocents of its workload, and one
-#: innocent of another workload in flight beside that batch.
+#: The crasher, two innocents of its workload and one innocent of
+#: another workload, all in flight together.
 EVAL_SPECS = [TaskSpec(tool="prof", workload="fib"),
               TaskSpec(tool="branch", workload="fib"),
               TaskSpec(tool="dyninst", workload="fib"),
@@ -115,7 +115,6 @@ def test_eval_crasher_pays_alone_as_under_run_matrix(tmp_path,
                                                      monkeypatch, retries):
     monkeypatch.setattr(parallel, "execute_task", _crash_or_run)
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=2,
-                      batch_window=0.3,
                       cache_root=tmp_path / "cache") as dt:
         client = ServeClient(dt.socket_path, timeout=120.0)
         replies = _fire({spec.task_id: (0.0, lambda s=spec: client.eval_task(
@@ -150,7 +149,6 @@ def test_run_crasher_fails_alone_beside_concurrent_runs(tmp_path,
     monkeypatch.setattr(daemon_mod, "_execute_run", _crash_or_reply)
     exe = b"stand-in executable"
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=2,
-                      batch_window=0.3,
                       cache_root=tmp_path / "cache") as dt:
         client = ServeClient(dt.socket_path, timeout=120.0)
 
@@ -195,8 +193,7 @@ def test_every_error_frame_is_counted_once_by_kind(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "execute_task", _raise)
     monkeypatch.setattr(daemon_mod, "_execute_run", _crash_or_reply)
     with DaemonThread(socket_path=tmp_path / "s.sock", jobs=1,
-                      batch_window=0.01, limit=8192,
-                      cache_root=tmp_path / "cache") as dt:
+                      limit=8192, cache_root=tmp_path / "cache") as dt:
         client = ServeClient(dt.socket_path, timeout=120.0)
 
         def raw(line: bytes) -> str:

@@ -74,6 +74,8 @@ def test_spec_wire_roundtrip():
      "max_insts"),
     ({"tool": "prof", "workload": "fib", "wl_args": [1]},
      "list of strings"),
+    ({"tool": "prof", "workload": "fib", "heap_mode": "bogus"},
+     "unknown heap_mode"),
 ])
 def test_spec_from_wire_rejects(wire, fragment):
     with pytest.raises(ProtocolError) as exc:

@@ -28,7 +28,6 @@ def exe() -> bytes:
 def daemon(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("telemetry")
     with DaemonThread(socket_path=tmp / "serve.sock", jobs=2,
-                      batch_window=0.05,
                       cache_root=tmp / "cache") as dt:
         yield dt
 
@@ -50,7 +49,6 @@ def test_one_request_produces_one_merged_trace(tmp_path):
     TRACE.enable()
     try:
         with DaemonThread(socket_path=tmp_path / "serve.sock", jobs=1,
-                          batch_window=0.02,
                           cache_root=tmp_path / "cache") as dt:
             client = ServeClient(dt.socket_path, timeout=300.0)
             spec = TaskSpec(tool="prof", workload="fib",
@@ -104,7 +102,6 @@ def test_traced_run_merges_worker_span_under_request_id(tmp_path, exe):
     TRACE.enable()
     try:
         with DaemonThread(socket_path=tmp_path / "serve.sock", jobs=1,
-                          batch_window=0.02,
                           cache_root=tmp_path / "cache") as dt:
             line = _raw_terminal(dt.socket_path, {
                 "op": "run", "exe": base64.b64encode(exe).decode(),
@@ -175,8 +172,8 @@ def test_metrics_op_emits_parseable_prometheus_text(client, exe):
     families = parse_text(reply["text"])
     for required in ("wrl_requests_total", "wrl_request_latency_ms",
                      "wrl_queue_depth", "wrl_dedup_hits_total",
-                     "wrl_executed_total", "wrl_batches_total",
-                     "wrl_tenant_cache_blobs", "wrl_tenant_cache_bytes"):
+                     "wrl_executed_total", "wrl_tenant_cache_blobs",
+                     "wrl_tenant_cache_bytes"):
         assert required in families, f"missing {required}"
     assert families["wrl_request_latency_ms"]["type"] == "histogram"
 
@@ -246,7 +243,7 @@ def test_idle_daemon_stats_are_all_zero(tmp_path):
             "p99": 0}
     assert stats["latency_ms"] == zero
     assert stats["latency_ms_by_op"] == {"eval": zero, "run": zero}
-    assert stats["batch_size"]["count"] == 0
+    assert stats["pool_rebuilds"] == stats["cancelled"] == 0
     assert stats["slo"]["current"] == {"p99_ms": 0.0,
                                        "error_rate": 0.0, "samples": 0}
     # The exposition is parseable even before any traffic.
